@@ -6,10 +6,11 @@ Subcommands:
   validate  cross-route consistency battery at reduced sizes
 
 Exit codes: 0 success, 2 invalid configuration, 3 numerical guard
-violated (cutoff / window / step), 4 validation mismatch.
+violated (cutoff / window), 4 validation mismatch.
 """
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -19,13 +20,15 @@ from . import dynamics
 from .dynamics import (
     MilburnConfig,
     SpectralPropagator,
-    StepSizeError,
     TimeSeries,
     WindowBudgetError,
-    lindblad_first_order_evolve,
+    first_order_factor,
+    milburn_factor,
     milburn_poisson_evolve,
+    poisson_factor,
     propagator_block,
     schrodinger_evolve,
+    unitary_factor,
 )
 from .fock import (
     SIGMA_X,
@@ -37,13 +40,8 @@ from .fock import (
     matrix_exponential,
 )
 from .hamiltonians import effective_hamiltonian_displaced, interaction_hamiltonian
-from .observables import (
-    initial_density,
-    purity,
-    revival_metrics,
-    sigma_x_closed_form,
-)
-from .params import DerivedParams, SystemParams, derived_params
+from .observables import initial_density, revival_metrics, sigma_x_closed_form
+from .params import SystemParams, derived_params
 
 METHODS = ("closed-form", "spectral", "poisson", "lindblad", "schrodinger",
            "full-oracle")
@@ -157,8 +155,8 @@ def build_run_config(args) -> RunConfig:
             f"unknown observables {bad}; choose from {', '.join(OBSERVABLES)}")
     if cfg.method == "closed-form" and tuple(cfg.observables) != ("sigma_x",):
         raise ConfigError("closed-form method computes sigma_x only")
-    if cfg.tmax <= 0:
-        raise ConfigError(f"tmax must be positive, got {cfg.tmax}")
+    if not (math.isfinite(cfg.tmax) and cfg.tmax > 0):
+        raise ConfigError(f"tmax must be positive and finite, got {cfg.tmax}")
     if cfg.steps < 2:
         raise ConfigError(f"steps must be >= 2, got {cfg.steps}")
     try:
@@ -168,18 +166,15 @@ def build_run_config(args) -> RunConfig:
     return cfg
 
 
-def _observable_row(rho, names, dcut):
-    ops = {
-        "sigma_x": atom_field(SIGMA_X, identity_field(dcut)),
-        "sigma_z": atom_field(SIGMA_Z, identity_field(dcut)),
-    }
-    row = []
-    for name in names:
-        if name == "purity":
-            row.append(purity(rho))
-        else:
-            row.append(float(np.trace(rho @ ops[name]).real))
-    return row
+# Each density-matrix method's scalar factor per eigenfrequency, from gamma.
+ROUTE_FACTORS = {
+    "spectral": milburn_factor,
+    "full-oracle": milburn_factor,
+    "poisson": lambda gamma: poisson_factor(MilburnConfig(gamma=gamma)),
+    "schrodinger": lambda gamma: unitary_factor,
+    "lindblad": first_order_factor,
+}
+ATOM_OPERATORS = {"sigma_x": SIGMA_X, "sigma_z": SIGMA_Z}
 
 
 def compute_series(cfg: RunConfig):
@@ -199,33 +194,13 @@ def compute_series(cfg: RunConfig):
         h = effective_hamiltonian_displaced(p)
     h = 0.5 * (h + h.conj().T)
     rho0 = initial_density(p)
-
-    rows = []
-    if cfg.method in ("spectral", "full-oracle"):
-        prop = SpectralPropagator(h=h, gamma=p.gamma)
-        for t in times:
-            rows.append(_observable_row(prop.evolve(rho0, t),
-                                        cfg.observables, p.dcut))
-    elif cfg.method == "poisson":
-        mcfg = MilburnConfig(gamma=p.gamma)
-        for t in times:
-            rho = milburn_poisson_evolve(rho0, h, t, mcfg)
-            rows.append(_observable_row(rho, cfg.observables, p.dcut))
-    elif cfg.method == "schrodinger":
-        for t in times:
-            rows.append(_observable_row(schrodinger_evolve(rho0, h, t),
-                                        cfg.observables, p.dcut))
-    elif cfg.method == "lindblad":
-        dt = 0.01 / np.linalg.norm(h, 2)
-        rho = rho0
-        t_prev = 0.0
-        for t in times:
-            if t > t_prev:
-                rho = lindblad_first_order_evolve(rho, h, t - t_prev,
-                                                 p.gamma, dt)
-                t_prev = t
-            rows.append(_observable_row(rho, cfg.observables, p.dcut))
-    cols = list(np.array(rows).T)
+    prop = SpectralPropagator(h=h, gamma=p.gamma)
+    factor = ROUTE_FACTORS[cfg.method](p.gamma)
+    cols = []
+    for name in cfg.observables:
+        op = None if name == "purity" else atom_field(
+            ATOM_OPERATORS[name], identity_field(p.dcut))
+        cols.append(prop.expectation_series(rho0, op, times, factor).real)
     return times, cols
 
 
@@ -267,8 +242,7 @@ def cmd_run(args):
         return EXIT_CONFIG
     try:
         times, cols = compute_series(cfg)
-    except (TruncationError, CutoffTooSmallError, WindowBudgetError,
-            StepSizeError) as e:
+    except (TruncationError, CutoffTooSmallError, WindowBudgetError) as e:
         print(f"numerical guard: {e}", file=sys.stderr)
         return EXIT_GUARD
     write_csv(cfg.out, times, cols, cfg.observables,

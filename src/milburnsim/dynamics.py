@@ -3,21 +3,24 @@
 Routes:
   * analytic per-photon-number 2x2 propagator blocks and their
     block-diagonal assembly (exact for the effective Hamiltonian);
-  * exact intrinsic-decoherence evolution, either as a Poisson-weighted
-    sum of repeated unitary kicks or in spectral closed form (one factor
-    per eigenvalue pair, cost independent of gamma*t);
-  * a fixed-step RK4 integrator for the first-order (double-commutator)
-    master equation;
-  * plain unitary (Schrodinger) evolution as the gamma -> infinity limit.
+  * the series kernel SpectralPropagator.expectation_series: every
+    density-matrix route is diagonal in the eigenbasis of H, so an
+    observable's time series is one eigendecomposition plus one scalar
+    factor per eigenfrequency (Milburn's, the windowed Poisson kick sum,
+    the first-order master equation's, or the unitary phase);
+  * state-level routes kept as independent references for that kernel:
+    exact intrinsic-decoherence evolution as a Poisson-weighted sum of
+    repeated unitary kicks or in spectral closed form, a fixed-step RK4
+    integrator for the first-order (double-commutator) master equation,
+    and plain unitary (Schrodinger) evolution.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import poisson
 
-from .fock import atom_field, displacement, matrix_exponential
+from .fock import atom_field, displacement, matrix_exponential, poisson_pmf
 from .params import SystemParams, derived_params
 
 
@@ -160,6 +163,16 @@ def poisson_window(mean, tail_tol, max_terms):
     return m_lo, m_hi
 
 
+def _kick_weights(t, cfg: MilburnConfig):
+    """Kick counts in the Poisson window at time t and their
+    probabilities, renormalized over the window."""
+    mean = cfg.gamma * t
+    m_lo, m_hi = poisson_window(mean, cfg.tail_tol, cfg.max_terms)
+    kicks = np.arange(m_lo, m_hi + 1)
+    weights = poisson_pmf(kicks, mean)
+    return kicks, weights / weights.sum()
+
+
 def milburn_poisson_evolve(rho0, h, t, cfg: MilburnConfig):
     """Exact intrinsic-decoherence evolution as a Poisson-weighted sum of
     repeated applications of the single kick U1 = exp(-i h / gamma).
@@ -171,13 +184,10 @@ def milburn_poisson_evolve(rho0, h, t, cfg: MilburnConfig):
     rho0 = np.asarray(rho0, dtype=complex)
     if t == 0:
         return rho0.copy()
-    mean = cfg.gamma * t
-    m_lo, m_hi = poisson_window(mean, cfg.tail_tol, cfg.max_terms)
-    weights = poisson.pmf(np.arange(m_lo, m_hi + 1), mean)
-    weights /= weights.sum()
+    kicks, weights = _kick_weights(t, cfg)
 
     u1 = matrix_exponential(-1j * np.asarray(h, dtype=complex) / cfg.gamma)
-    u_lo = np.linalg.matrix_power(u1, m_lo)
+    u_lo = np.linalg.matrix_power(u1, kicks[0])
     rho_m = u_lo @ rho0 @ u_lo.conj().T
     out = weights[0] * rho_m
     for w in weights[1:]:
@@ -186,10 +196,80 @@ def milburn_poisson_evolve(rho0, h, t, cfg: MilburnConfig):
     return out
 
 
+SERIES_BLOCK = 2**15  # factor entries the series kernel evaluates at once
+DROP_BUDGET = 1e-14   # summed |weight| the series kernel may drop
+
+
+def milburn_factor(gamma):
+    """Milburn's factor exp(gamma t (e^{-i w/gamma} - 1)) per
+    eigenfrequency w, in a numerically stable split of modulus and
+    phase."""
+
+    def factor(omega, t):
+        x = omega / gamma
+        # gamma t (cos x - 1) = -2 gamma t sin^2(x/2), stable for tiny x
+        log_mod = -2.0 * gamma * t * np.sin(0.5 * x) ** 2
+        phase = -gamma * t * np.sin(x)
+        return np.exp(log_mod + 1j * phase)
+
+    return factor
+
+
+def poisson_factor(cfg: MilburnConfig):
+    """The kick sum sum_m p_m(gamma t) e^{-i m w/gamma} over the same
+    renormalized window as milburn_poisson_evolve; raises
+    WindowBudgetError where that route would."""
+
+    def factor(omega, t):
+        theta = omega / cfg.gamma
+        chunk = max(1, SERIES_BLOCK // max(1, len(theta)))
+        out = np.zeros((np.size(t), len(theta)), dtype=complex)
+        for row, ti in zip(out, np.ravel(t)):
+            kicks, weights = _kick_weights(ti, cfg)
+            for s in range(0, len(kicks), chunk):
+                phases = np.multiply.outer(kicks[s:s + chunk], theta)
+                row += weights[s:s + chunk] @ np.exp(-1j * phases)
+        return out
+
+    return factor
+
+
+def first_order_factor(gamma):
+    """Factor exp(-i w t - w^2 t / 2 gamma) of the first-order master
+    equation drho/dt = -i[h, rho] - (1/2 gamma) [h, [h, rho]]."""
+
+    def factor(omega, t):
+        return np.exp(-1j * omega * t - omega**2 * t / (2.0 * gamma))
+
+    return factor
+
+
+def unitary_factor(omega, t):
+    """Schrodinger phase exp(-i w t), the gamma -> infinity limit."""
+    return np.exp(-1j * omega * t)
+
+
+def prune_weights(weights):
+    """Drop the smallest weights while their summed modulus stays within
+    DROP_BUDGET.
+
+    Returns the flat indices of the kept weights, in ascending order, and
+    the dropped sum.  Every route's factor has |F| <= 1, so the dropped
+    sum bounds the error of the pruned series.
+    """
+    modulus = np.abs(weights).ravel()
+    order = np.argsort(modulus, kind="stable")
+    cumulative = np.cumsum(modulus[order])
+    n_drop = int(np.searchsorted(cumulative, DROP_BUDGET, side="right"))
+    dropped = float(cumulative[n_drop - 1]) if n_drop else 0.0
+    return np.sort(order[n_drop:]), dropped
+
+
 @dataclass
 class SpectralPropagator:
-    """Eigendecomposition cache for the spectral intrinsic-decoherence
-    route.  Read-only after construction; safe to share across workers."""
+    """Eigendecomposition of h and the series kernel of every
+    density-matrix route.  Read-only after construction; safe to share
+    across workers."""
 
     h: np.ndarray
     gamma: float
@@ -201,29 +281,52 @@ class SpectralPropagator:
         _check_hermitian(h)
         self.energies, self.vectors = np.linalg.eigh(h)
 
+    def _frequencies(self):
+        return self.energies[:, None] - self.energies[None, :]
+
+    def _to_eigenbasis(self, m):
+        return self.vectors.conj().T @ np.asarray(m, dtype=complex) @ self.vectors
+
     def decay_factors(self, t):
-        """Per-eigenpair factor exp(gamma t (e^{-i w/gamma} - 1)) with
-        w = E_j - E_k, in a numerically stable split of modulus and
-        phase."""
-        omega = self.energies[:, None] - self.energies[None, :]
-        x = omega / self.gamma
-        # gamma t (cos x - 1) = -2 gamma t sin^2(x/2), stable for tiny x
-        log_mod = -2.0 * self.gamma * t * np.sin(0.5 * x) ** 2
-        phase = -self.gamma * t * np.sin(x)
-        return np.exp(log_mod + 1j * phase)
+        """Milburn's factor at time t for every eigenpair, w = E_j - E_k."""
+        return milburn_factor(self.gamma)(self._frequencies(), t)
 
     def evolve(self, rho0, t):
-        rho_e = self.vectors.conj().T @ np.asarray(rho0, dtype=complex) @ self.vectors
-        rho_e = rho_e * self.decay_factors(t)
+        rho_e = self._to_eigenbasis(rho0) * self.decay_factors(t)
         return self.vectors @ rho_e @ self.vectors.conj().T
 
-    def expectation_series(self, rho0, op, times):
-        """<op>(t) on a grid without building each density matrix:
-        Tr(rho(t) op) = sum_jk rho_e[j,k] F[j,k](t) op_e[k,j]."""
-        rho_e = self.vectors.conj().T @ np.asarray(rho0, dtype=complex) @ self.vectors
-        op_e = self.vectors.conj().T @ np.asarray(op, dtype=complex) @ self.vectors
-        weights = rho_e * op_e.T
-        return np.array([np.sum(weights * self.decay_factors(t)) for t in times])
+    def expectation_series(self, rho0, op, times, factor=None):
+        """Tr(rho(t) op) on a time grid without building any density
+        matrix: sum_jk w_jk F(w_jk, t) with weights
+        w_jk = rho_e[j,k] op_e[k,j] in the eigenbasis of h.
+
+        ``op=None`` gives the purity Tr(rho(t)^2), with weights
+        |rho_e[j,k]|^2 and factor |F|^2.  ``factor(omega, t)`` maps
+        eigenfrequencies (1-D) and a column of times to one factor per
+        pair; the default is Milburn's at this propagator's gamma.
+        Weights are pruned by prune_weights, and the factor is evaluated
+        in blocks of time rows of at most SERIES_BLOCK entries.  Returns
+        a complex array.
+        """
+        if factor is None:
+            factor = milburn_factor(self.gamma)
+        rho_e = self._to_eigenbasis(rho0)
+        if op is None:
+            weights = np.abs(rho_e) ** 2
+        else:
+            weights = rho_e * self._to_eigenbasis(op).T
+        keep, _ = prune_weights(weights)
+        weights = weights.ravel()[keep]
+        omega = self._frequencies().ravel()[keep]
+        times = np.asarray(times, dtype=float)
+        out = np.empty(len(times), dtype=complex)
+        rows = max(1, SERIES_BLOCK // max(1, len(keep)))
+        for start in range(0, len(times), rows):
+            f = factor(omega, times[start:start + rows, None])
+            if op is None:
+                f = f.real**2 + f.imag**2
+            out[start:start + rows] = f @ weights
+        return out
 
 
 def milburn_spectral_evolve(rho0, h, t, gamma):

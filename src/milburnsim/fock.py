@@ -8,6 +8,7 @@ means atomic level s (0 = |e>, 1 = |g>) and photon number n.
 
 import numpy as np
 from scipy.linalg import expm
+from scipy.special import gammaln, xlogy
 
 
 class TruncationError(ValueError):
@@ -84,8 +85,6 @@ def coherent_state(alpha, dcut):
     _check_cutoff(dcut)
     n = np.arange(dcut)
     # log-space for large |alpha|; amplitudes e^{-|a|^2/2} a^n / sqrt(n!)
-    from scipy.special import gammaln
-
     mean = abs(alpha) ** 2
     log_mod = -0.5 * mean + n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1) \
         if alpha != 0 else np.concatenate(([0.0], np.full(dcut - 1, -np.inf)))
@@ -98,6 +97,13 @@ def coherent_state(alpha, dcut):
             f"cutoff {dcut}; increase the cutoff"
         )
     return amps / np.linalg.norm(amps)
+
+
+def poisson_pmf(m, mean):
+    """Poisson probabilities p_m = e^{-mean} mean^m / m!, in log space so
+    that large means neither overflow nor underflow.  The same formula as
+    scipy.stats.poisson.pmf, without importing scipy.stats."""
+    return np.exp(xlogy(m, mean) - gammaln(m + 1) - mean)
 
 
 def atom_field(atom_op, field_op):

@@ -2,7 +2,6 @@
 expectations, and collapse/revival metrics."""
 
 import numpy as np
-from scipy.special import gammaln
 
 from .fock import (
     SIGMA_X,
@@ -13,6 +12,7 @@ from .fock import (
     density_from_state,
     expectation,
     identity_field,
+    poisson_pmf,
 )
 from .params import SystemParams, derived_params
 from .dynamics import TimeSeries
@@ -37,13 +37,7 @@ def initial_density(p: SystemParams):
 
 
 def _poisson_weights(mean, n_max):
-    n = np.arange(n_max)
-    if mean == 0:
-        w = np.zeros(n_max)
-        w[0] = 1.0
-        return w
-    log_w = -mean + n * np.log(mean) - gammaln(n + 1)
-    w = np.exp(log_w)
+    w = poisson_pmf(np.arange(n_max), mean)
     tail = 1.0 - w.sum()
     if tail > POISSON_TAIL_TOL:
         raise CutoffTooSmallError(

@@ -4,6 +4,7 @@ All rates are in units of the atom-field coupling, time in its inverse.
 hbar = 1 throughout.
 """
 
+import cmath
 import warnings
 from dataclasses import dataclass
 
@@ -28,6 +29,10 @@ class SystemParams:
     dcut: int = 64
 
     def __post_init__(self):
+        for name in ("lam", "epsilon", "delta", "gamma", "alpha"):
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got "
+                                 f"{getattr(self, name)}")
         if self.lam <= 0:
             raise ValueError(f"coupling must be positive, got {self.lam}")
         if self.delta == 0:

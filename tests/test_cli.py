@@ -102,6 +102,24 @@ class TestRunCommand:
         assert code == EXIT_GUARD
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--gamma", "nan"), ("--alpha", "nan"), ("--epsilon", "inf"),
+        ("--tmax", "nan"), ("--gamma", "inf"), ("--delta", "inf")])
+    def test_non_finite_input_writes_nothing(self, tmp_path, flag, value):
+        out = tmp_path / "x.csv"
+        code = main(run_args(flag, value, "--steps", "5", "--out", str(out)))
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+
+    def test_poisson_window_budget_exit_code(self, tmp_path):
+        # gamma * tmax = 1e8 needs a window of about 1.6e5 kicks
+        out = tmp_path / "x.csv"
+        code = main(run_args("--method", "poisson", "--gamma", "1e8",
+                             "--alpha", "1", "--cutoff", "16", "--tmax", "1",
+                             "--steps", "2", "--out", str(out)))
+        assert code == EXIT_GUARD
+        assert not out.exists()
+
     def test_byte_stable_output(self, tmp_path):
         out_1 = tmp_path / "r1.csv"
         out_2 = tmp_path / "r2.csv"

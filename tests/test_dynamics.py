@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from milburnsim import dynamics
 from milburnsim.dynamics import (
+    DROP_BUDGET,
     MilburnConfig,
     SpectralPropagator,
     StepSizeError,
@@ -9,14 +11,25 @@ from milburnsim.dynamics import (
     WindowBudgetError,
     core_propagator,
     effective_propagator,
+    first_order_factor,
     lindblad_first_order_evolve,
+    milburn_factor,
     milburn_poisson_evolve,
     milburn_spectral_evolve,
+    poisson_factor,
     propagator_block,
+    prune_weights,
     rabi_frequency,
     schrodinger_evolve,
+    unitary_factor,
 )
-from milburnsim.fock import SIGMA_X, atom_field, identity_field, matrix_exponential
+from milburnsim.fock import (
+    SIGMA_X,
+    SIGMA_Z,
+    atom_field,
+    identity_field,
+    matrix_exponential,
+)
 from milburnsim.hamiltonians import effective_hamiltonian_displaced
 from milburnsim.observables import atomic_inversion, initial_density, purity
 from milburnsim.params import SystemParams, derived_params
@@ -323,3 +336,105 @@ class TestSpectralExpectationSeries:
         fast = prop.expectation_series(rho0, x_op, times).real
         slow = [np.trace(prop.evolve(rho0, t) @ x_op).real for t in times]
         np.testing.assert_allclose(fast, slow, atol=1e-11)
+
+
+def _rk4_states(rho0, h, times, gamma):
+    """First-order master equation states on a grid, by RK4 steps of
+    0.01/||h|| carried from one grid time to the next."""
+    dt = 0.01 / np.linalg.norm(h, 2)
+    states, rho, t_prev = [], rho0, 0.0
+    for t in times:
+        if t > t_prev:
+            rho = lindblad_first_order_evolve(rho, h, t - t_prev, gamma, dt)
+            t_prev = t
+        states.append(rho)
+    return states
+
+
+# route: (factor from gamma, state-level evolution on a grid, tolerance)
+KERNEL_ROUTES = {
+    "milburn": (
+        milburn_factor,
+        lambda rho0, h, times, g: [milburn_spectral_evolve(rho0, h, t, g)
+                                   for t in times],
+        1e-12),
+    "poisson": (
+        lambda g: poisson_factor(MilburnConfig(gamma=g)),
+        lambda rho0, h, times, g: [
+            milburn_poisson_evolve(rho0, h, t, MilburnConfig(gamma=g))
+            for t in times],
+        1e-12),
+    "unitary": (
+        lambda g: unitary_factor,
+        lambda rho0, h, times, g: [schrodinger_evolve(rho0, h, t)
+                                   for t in times],
+        1e-12),
+    # RK4 truncation error at this step is about 4e-12
+    "first-order": (first_order_factor, _rk4_states, 1e-10),
+}
+
+
+class TestSeriesKernel:
+    """Each route's factor in the series kernel against the route's
+    independent state-level evolution, at cutoff 16."""
+
+    @pytest.fixture
+    def system(self):
+        p = SystemParams(lam=1.0, epsilon=0.5, delta=2.0, gamma=40.0,
+                         alpha=1.0, dcut=16)
+        return p, displaced_hamiltonian(p), initial_density(p)
+
+    @pytest.mark.parametrize("route", sorted(KERNEL_ROUTES))
+    def test_factor_matches_state_route(self, system, route):
+        p, h, rho0 = system
+        make_factor, evolve, tol = KERNEL_ROUTES[route]
+        times = np.linspace(0.0, 1.5, 7)
+        states = evolve(rho0, h, times, p.gamma)
+        prop = SpectralPropagator(h=h, gamma=p.gamma)
+        for op in (atom_field(SIGMA_X, identity_field(p.dcut)),
+                   atom_field(SIGMA_Z, identity_field(p.dcut)), None):
+            series = prop.expectation_series(rho0, op, times,
+                                             make_factor(p.gamma))
+            if op is None:
+                reference = [purity(rho) for rho in states]
+            else:
+                reference = [np.trace(rho @ op).real for rho in states]
+            np.testing.assert_allclose(series.real, reference, rtol=0,
+                                       atol=tol)
+            assert np.max(np.abs(series.imag)) <= 1e-12
+
+    def test_blocking_does_not_change_the_series(self, system, monkeypatch):
+        p, h, rho0 = system
+        prop = SpectralPropagator(h=h, gamma=p.gamma)
+        x_op = atom_field(SIGMA_X, identity_field(p.dcut))
+        times = np.linspace(0.0, 1.5, 7)
+        factors = (None, poisson_factor(MilburnConfig(gamma=p.gamma)))
+        whole = [prop.expectation_series(rho0, op, times, f)
+                 for f in factors for op in (x_op, None)]
+        # blocks of one time row, Poisson kicks in chunks of one term
+        monkeypatch.setattr(dynamics, "SERIES_BLOCK", 1)
+        blocked = [prop.expectation_series(rho0, op, times, f)
+                   for f in factors for op in (x_op, None)]
+        for a, b in zip(whole, blocked):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
+
+    def test_dropped_weight_bound(self, system):
+        p, h, rho0 = system
+        prop = SpectralPropagator(h=h, gamma=p.gamma)
+        x_op = atom_field(SIGMA_X, identity_field(p.dcut))
+        rho_e = prop.vectors.conj().T @ rho0 @ prop.vectors
+        x_e = prop.vectors.conj().T @ x_op @ prop.vectors
+        times = np.linspace(0.0, 3.0, 11)
+        cases = ((x_op, rho_e * x_e.T, prop.decay_factors),
+                 (None, np.abs(rho_e) ** 2,
+                  lambda t: np.abs(prop.decay_factors(t)) ** 2))
+        for op, weights, factors in cases:
+            keep, dropped = prune_weights(weights)
+            assert 0.0 < dropped <= DROP_BUDGET == 1e-14
+            lost = np.delete(weights.ravel(), keep)
+            assert np.sum(np.abs(lost)) == pytest.approx(dropped, rel=1e-12)
+            # every factor has modulus <= 1, so the unpruned sum differs
+            # from the kernel by at most the dropped weight
+            full = [np.sum(weights * factors(t)) for t in times]
+            series = prop.expectation_series(rho0, op, times)
+            assert np.max(np.abs(series - full)) <= dropped + 1e-14
