@@ -22,12 +22,11 @@ from .hamiltonians import (
     compare_operators,
 )
 from .dynamics import (
-    PropagatorBlock,
     MilburnConfig,
     TimeSeries,
     SpectralPropagator,
-    rabi_frequency,
-    propagator_block,
+    rabi_blocks,
+    block_propagators,
     effective_propagator,
     schrodinger_evolve,
     milburn_poisson_evolve,

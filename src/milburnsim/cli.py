@@ -22,11 +22,11 @@ from .dynamics import (
     SpectralPropagator,
     TimeSeries,
     WindowBudgetError,
+    block_propagators,
     first_order_factor,
     milburn_factor,
     milburn_poisson_evolve,
     poisson_factor,
-    propagator_block,
     schrodinger_evolve,
     unitary_factor,
 )
@@ -166,12 +166,13 @@ def build_run_config(args) -> RunConfig:
     return cfg
 
 
-# Each density-matrix method's scalar factor per eigenfrequency, from gamma.
+# Each density-matrix method's scalar factor F(omega, t, gamma) per
+# eigenfrequency.
 ROUTE_FACTORS = {
     "spectral": milburn_factor,
     "full-oracle": milburn_factor,
-    "poisson": lambda gamma: poisson_factor(MilburnConfig(gamma=gamma)),
-    "schrodinger": lambda gamma: unitary_factor,
+    "poisson": poisson_factor,
+    "schrodinger": unitary_factor,
     "lindblad": first_order_factor,
 }
 ATOM_OPERATORS = {"sigma_x": SIGMA_X, "sigma_z": SIGMA_Z}
@@ -195,7 +196,7 @@ def compute_series(cfg: RunConfig):
     h = 0.5 * (h + h.conj().T)
     rho0 = initial_density(p)
     prop = SpectralPropagator(h=h, gamma=p.gamma)
-    factor = ROUTE_FACTORS[cfg.method](p.gamma)
+    factor = ROUTE_FACTORS[cfg.method]
     cols = []
     for name in cfg.observables:
         op = None if name == "purity" else atom_field(
@@ -245,8 +246,12 @@ def cmd_run(args):
     except (TruncationError, CutoffTooSmallError, WindowBudgetError) as e:
         print(f"numerical guard: {e}", file=sys.stderr)
         return EXIT_GUARD
-    write_csv(cfg.out, times, cols, cfg.observables,
-              _config_comments(cfg))
+    try:
+        write_csv(cfg.out, times, cols, cfg.observables,
+                  _config_comments(cfg))
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 
@@ -260,15 +265,25 @@ FIG1_REVIVAL_WINDOW = (2.9, 3.4)
 
 
 def cmd_fig1(args):
+    try:
+        _write_fig1(args.out_dir)
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    return EXIT_OK
+
+
+def _write_fig1(out_dir):
+    """The three reference curves and their metrics sidecar."""
     import os
 
-    os.makedirs(args.out_dir, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
     times = np.linspace(0.0, 12.0, 2400)
     metrics_rows = []
     for label, overrides in FIG1_SETS.items():
         p = SystemParams(lam=1.0, delta=2.0, alpha=2.5, dcut=64, **overrides)
         values = sigma_x_closed_form(p, times)
-        path = os.path.join(args.out_dir, f"fig1{label}.csv")
+        path = os.path.join(out_dir, f"fig1{label}.csv")
         write_csv(path, times, [values], ("sigma_x",), [
             "milburnsim reference curve " + label,
             f"epsilon = {overrides['epsilon']:g}, gamma = {overrides['gamma']:g}",
@@ -280,14 +295,13 @@ def cmd_fig1(args):
         metrics_rows.append((label, m))
         print(f"wrote {path}")
 
-    metrics_path = os.path.join(args.out_dir, "fig1_metrics.csv")
+    metrics_path = os.path.join(out_dir, "fig1_metrics.csv")
     with open(metrics_path, "w", newline="") as f:
         f.write("series,revival_peak,revival_time,collapse_floor\n")
         for label, m in metrics_rows:
             f.write(f"{label},{m.revival_peak:.15f},{m.revival_time:.15f},"
                     f"{m.collapse_floor:.15f}\n")
     print(f"wrote {metrics_path}")
-    return EXIT_OK
 
 
 def _validation_checks():
@@ -300,7 +314,7 @@ def _validation_checks():
     worst = 0.0
     for n in (0, 1, 3):
         for t in (0.3, 1.0):
-            blk = propagator_block(n, t, p).as_matrix()
+            blk = block_propagators(t, p)[n]
             detuned = d.chi * n + d.delta_tilde
             h2 = np.array([[detuned, p.epsilon],
                            [np.conjugate(p.epsilon), -detuned]])

@@ -15,7 +15,7 @@ from .fock import (
     poisson_pmf,
 )
 from .params import SystemParams, derived_params
-from .dynamics import TimeSeries
+from .dynamics import TimeSeries, rabi_blocks
 from dataclasses import dataclass
 
 
@@ -65,14 +65,12 @@ def sigma_x_closed_form(p: SystemParams, t, n_max=None):
     shifted_mean = abs(p.alpha - d.beta) ** 2
     weights = _poisson_weights(shifted_mean, n_max)
 
-    n = np.arange(n_max)
-    detuned = d.chi * n + d.delta_tilde
+    detuned, omega = rabi_blocks(p, np.arange(n_max))
     eps2 = abs(p.epsilon) ** 2
     omega2 = detuned**2 + eps2
 
     # stable forms of gamma t (1 - cos(2 Omega/gamma)) and
     # gamma t sin(2 Omega/gamma)
-    omega = np.sqrt(omega2)
     x = omega / p.gamma
     damp = np.exp(-2.0 * p.gamma * np.sin(x) ** 2 * t[:, None])
     phase = np.cos(p.gamma * np.sin(2.0 * x) * t[:, None])

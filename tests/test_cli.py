@@ -120,6 +120,13 @@ class TestRunCommand:
         assert code == EXIT_GUARD
         assert not out.exists()
 
+    def test_unwritable_output_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        code = main(run_args("--steps", "5", "--out", str(out)))
+        assert code == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_byte_stable_output(self, tmp_path):
         out_1 = tmp_path / "r1.csv"
         out_2 = tmp_path / "r2.csv"
@@ -196,6 +203,13 @@ class TestFig1Command:
             _, rows = read_csv(fig1_dir / f"fig1{label}.csv")
             vals = np.array([[float(c) for c in r] for r in rows])
             assert np.all(np.isfinite(vals))
+
+    def test_output_dir_is_a_file(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("keep\n")
+        assert main(["fig1", str(target)]) == EXIT_CONFIG
+        assert target.read_text() == "keep\n"
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestValidateCommand:

@@ -9,6 +9,7 @@ from milburnsim.dynamics import (
     StepSizeError,
     TimeSeries,
     WindowBudgetError,
+    block_propagators,
     core_propagator,
     effective_propagator,
     first_order_factor,
@@ -17,9 +18,8 @@ from milburnsim.dynamics import (
     milburn_poisson_evolve,
     milburn_spectral_evolve,
     poisson_factor,
-    propagator_block,
     prune_weights,
-    rabi_frequency,
+    rabi_blocks,
     schrodinger_evolve,
     unitary_factor,
 )
@@ -49,65 +49,63 @@ def small_system():
 
 class TestRabiFrequency:
     def test_reference_values(self, fig1b):
-        d = derived_params(fig1b)
-        assert rabi_frequency(0, d, fig1b.epsilon) == pytest.approx(
+        assert rabi_blocks(fig1b, 0)[1] == pytest.approx(
             np.sqrt(5.3125), abs=1e-12)
-        assert rabi_frequency(1, d, fig1b.epsilon) == pytest.approx(
+        assert rabi_blocks(fig1b, 1)[1] == pytest.approx(
             np.sqrt(1.8125), abs=1e-12)
-        assert rabi_frequency(2, d, fig1b.epsilon) == pytest.approx(
+        assert rabi_blocks(fig1b, 2)[1] == pytest.approx(
             np.sqrt(0.3125), abs=1e-12)
 
     def test_no_drive_reduces_to_detuning(self):
         p = SystemParams(lam=1.0, epsilon=0.0, delta=2.0, gamma=1.0)
         d = derived_params(p)
         for n in range(6):
-            assert rabi_frequency(n, d, 0.0) == pytest.approx(
+            assert rabi_blocks(p, n)[1] == pytest.approx(
                 abs(d.chi * n + d.delta_tilde))
 
     def test_exact_null(self):
         p = SystemParams(lam=1.0, epsilon=0.0, delta=2.0, gamma=1.0)
-        d = derived_params(p)
         # chi = -1, delta_tilde = 2: the n = 2 block is frozen
-        assert rabi_frequency(2, d, 0.0) == 0.0
+        assert rabi_blocks(p, 2)[1] == 0.0
 
     def test_negative_photon_number(self):
         p = SystemParams(lam=1.0, delta=2.0)
         with pytest.raises(ValueError):
-            rabi_frequency(-1, derived_params(p), 0.0)
+            rabi_blocks(p, -1)
 
 
 class TestPropagatorBlock:
     def test_identity_at_zero_time(self, fig1b):
-        blk = propagator_block(3, 0.0, fig1b).as_matrix()
+        blk = block_propagators(0.0, fig1b)[3]
         np.testing.assert_allclose(blk, np.eye(2), atol=1e-14)
 
     def test_diagonal_without_drive(self):
         p = SystemParams(lam=1.0, epsilon=0.0, delta=2.0, gamma=1.0)
         d = derived_params(p)
         for n, t in [(0, 0.8), (3, 1.7)]:
-            blk = propagator_block(n, t, p)
+            blk = block_propagators(t, p)[n]
             phase = (d.chi * n + d.delta_tilde) * t
-            assert blk.u12 == 0 and blk.u21 == 0
-            assert blk.u11 == pytest.approx(np.exp(-1j * phase), abs=1e-12)
-            assert blk.u22 == pytest.approx(np.exp(1j * phase), abs=1e-12)
+            assert blk[0, 1] == 0 and blk[1, 0] == 0
+            assert blk[0, 0] == pytest.approx(np.exp(-1j * phase), abs=1e-12)
+            assert blk[1, 1] == pytest.approx(np.exp(1j * phase), abs=1e-12)
 
     def test_matches_dense_exponential(self, fig1b):
         d = derived_params(fig1b)
-        for n in (0, 1, 5):
+        blocks = block_propagators(1.0, fig1b)
+        for n in range(fig1b.dcut):
             detuned = d.chi * n + d.delta_tilde
             h2 = np.array([[detuned, fig1b.epsilon],
                            [np.conjugate(fig1b.epsilon), -detuned]])
-            blk = propagator_block(n, 1.0, fig1b).as_matrix()
-            np.testing.assert_allclose(blk, matrix_exponential(-1j * h2),
+            np.testing.assert_allclose(blocks[n], matrix_exponential(-1j * h2),
                                        atol=1e-12)
 
     def test_unitary(self, fig1b):
-        blk = propagator_block(2, 1.3, fig1b).as_matrix()
+        blk = block_propagators(1.3, fig1b)[2]
         np.testing.assert_allclose(blk.conj().T @ blk, np.eye(2), atol=1e-12)
 
     def test_frozen_block_is_identity(self):
         p = SystemParams(lam=1.0, epsilon=0.0, delta=2.0, gamma=1.0)
-        blk = propagator_block(2, 1.0, p).as_matrix()  # Omega = 0 exactly
+        blk = block_propagators(1.0, p)[2]  # Omega = 0 exactly
         np.testing.assert_allclose(blk, np.eye(2), atol=1e-14)
 
 
@@ -141,13 +139,12 @@ class TestEffectivePropagator:
 
     def test_block_assembly_layout(self, fig1b):
         # the core propagator places each 2x2 block at (n, n+dcut) offsets
-        u = core_propagator(0.9, fig1b)
-        blk = propagator_block(4, 0.9, fig1b)
+        # and is zero off the blocks
         dcut = fig1b.dcut
-        assert u[4, 4] == pytest.approx(blk.u11)
-        assert u[4, 4 + dcut] == pytest.approx(blk.u12)
-        assert u[4 + dcut, 4] == pytest.approx(blk.u21)
-        assert u[4 + dcut, 4 + dcut] == pytest.approx(blk.u22)
+        expected = np.zeros((2 * dcut, 2 * dcut), dtype=complex)
+        for n, blk in enumerate(block_propagators(0.9, fig1b)):
+            expected[np.ix_([n, n + dcut], [n, n + dcut])] = blk
+        np.testing.assert_array_equal(core_propagator(0.9, fig1b), expected)
 
 
 class TestSchrodingerEvolve:
@@ -203,11 +200,21 @@ class TestMilburnPoisson:
             milburn_poisson_evolve(rho0, h, 10.0,
                                    MilburnConfig(gamma=1e6, max_terms=1000))
 
+    def test_window_discarded_mass_bound(self):
+        from scipy.stats import poisson
+
+        means = np.concatenate([np.linspace(0.0, 60.0, 6001),
+                                np.geomspace(60.0, 1e6, 200)])
+        windows = np.array([dynamics.poisson_window(m, 10**7) for m in means])
+        m_lo, m_hi = windows.T
+        lost = poisson.cdf(m_lo - 1, means) + poisson.sf(m_hi, means)
+        assert lost.max() <= 1e-10
+        assert 8e-11 <= lost.max()  # the peak near mean 2.67, window [0, 18]
+        assert np.all(lost[means >= 50.0] <= 1e-12)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             MilburnConfig(gamma=-1.0)
-        with pytest.raises(ValueError):
-            MilburnConfig(gamma=1.0, tail_tol=1e-3)
 
 
 class TestMilburnSpectral:
@@ -351,7 +358,7 @@ def _rk4_states(rho0, h, times, gamma):
     return states
 
 
-# route: (factor from gamma, state-level evolution on a grid, tolerance)
+# route: (factor, state-level evolution on a grid, tolerance)
 KERNEL_ROUTES = {
     "milburn": (
         milburn_factor,
@@ -359,13 +366,13 @@ KERNEL_ROUTES = {
                                    for t in times],
         1e-12),
     "poisson": (
-        lambda g: poisson_factor(MilburnConfig(gamma=g)),
+        poisson_factor,
         lambda rho0, h, times, g: [
             milburn_poisson_evolve(rho0, h, t, MilburnConfig(gamma=g))
             for t in times],
         1e-12),
     "unitary": (
-        lambda g: unitary_factor,
+        unitary_factor,
         lambda rho0, h, times, g: [schrodinger_evolve(rho0, h, t)
                                    for t in times],
         1e-12),
@@ -387,14 +394,13 @@ class TestSeriesKernel:
     @pytest.mark.parametrize("route", sorted(KERNEL_ROUTES))
     def test_factor_matches_state_route(self, system, route):
         p, h, rho0 = system
-        make_factor, evolve, tol = KERNEL_ROUTES[route]
+        factor, evolve, tol = KERNEL_ROUTES[route]
         times = np.linspace(0.0, 1.5, 7)
         states = evolve(rho0, h, times, p.gamma)
         prop = SpectralPropagator(h=h, gamma=p.gamma)
         for op in (atom_field(SIGMA_X, identity_field(p.dcut)),
                    atom_field(SIGMA_Z, identity_field(p.dcut)), None):
-            series = prop.expectation_series(rho0, op, times,
-                                             make_factor(p.gamma))
+            series = prop.expectation_series(rho0, op, times, factor)
             if op is None:
                 reference = [purity(rho) for rho in states]
             else:
@@ -408,7 +414,7 @@ class TestSeriesKernel:
         prop = SpectralPropagator(h=h, gamma=p.gamma)
         x_op = atom_field(SIGMA_X, identity_field(p.dcut))
         times = np.linspace(0.0, 1.5, 7)
-        factors = (None, poisson_factor(MilburnConfig(gamma=p.gamma)))
+        factors = (milburn_factor, poisson_factor)
         whole = [prop.expectation_series(rho0, op, times, f)
                  for f in factors for op in (x_op, None)]
         # blocks of one time row, Poisson kicks in chunks of one term
