@@ -11,6 +11,7 @@ violated (cutoff / window), 4 validation mismatch.
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -153,6 +154,9 @@ def build_run_config(args) -> RunConfig:
     if bad:
         raise ConfigError(
             f"unknown observables {bad}; choose from {', '.join(OBSERVABLES)}")
+    if len(set(cfg.observables)) < len(cfg.observables):
+        raise ConfigError(
+            f"repeated observables in {','.join(cfg.observables)}")
     if cfg.method == "closed-form" and tuple(cfg.observables) != ("sigma_x",):
         raise ConfigError("closed-form method computes sigma_x only")
     if not (math.isfinite(cfg.tmax) and cfg.tmax > 0):
@@ -205,15 +209,42 @@ def compute_series(cfg: RunConfig):
     return times, cols
 
 
+def _write_atomic(path, chunks):
+    """Write the strings of chunks to a new file beside path, then rename
+    it onto path, so that a failure leaves path as it was."""
+    tmp = os.path.join(os.path.dirname(path),
+                       f".{os.path.basename(path)}.{os.urandom(6).hex()}.tmp")
+    f = open(tmp, "x", newline="")
+    try:
+        with f:
+            for chunk in chunks:
+                f.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_csv(path, times, columns, names, header_comments=()):
-    """Fixed-precision, LF-terminated CSV; byte-stable for a given input."""
-    with open(path, "w", newline="") as f:
+    """Fixed-precision, LF-terminated CSV; byte-stable for a given input.
+
+    Rows are formatted in blocks of at most SERIES_BLOCK values, one
+    `%` operation per block, and written atomically; the formatted text
+    held at once does not grow with the row count.
+    """
+    table = np.column_stack([times, *columns])
+    row = ",".join(["%.15f"] * table.shape[1]) + "\n"
+    rows = max(1, dynamics.SERIES_BLOCK // table.shape[1])
+
+    def chunks():
         for line in header_comments:
-            f.write(f"# {line}\n")
-        f.write("t," + ",".join(names) + "\n")
-        for i, t in enumerate(times):
-            vals = ",".join(f"{col[i]:.15f}" for col in columns)
-            f.write(f"{t:.15f},{vals}\n")
+            yield f"# {line}\n"
+        yield "t," + ",".join(names) + "\n"
+        for start in range(0, len(table), rows):
+            block = table[start:start + rows]
+            yield (row * len(block)) % tuple(block.ravel().tolist())
+
+    _write_atomic(path, chunks())
 
 
 def _fmt_num(z):
@@ -246,6 +277,10 @@ def cmd_run(args):
     except (TruncationError, CutoffTooSmallError, WindowBudgetError) as e:
         print(f"numerical guard: {e}", file=sys.stderr)
         return EXIT_GUARD
+    if not all(np.isfinite(col).all() for col in cols):
+        print("numerical guard: the computed series has non-finite values",
+              file=sys.stderr)
+        return EXIT_GUARD
     try:
         write_csv(cfg.out, times, cols, cfg.observables,
                   _config_comments(cfg))
@@ -275,8 +310,6 @@ def cmd_fig1(args):
 
 def _write_fig1(out_dir):
     """The three reference curves and their metrics sidecar."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     times = np.linspace(0.0, 12.0, 2400)
     metrics_rows = []
@@ -296,11 +329,10 @@ def _write_fig1(out_dir):
         print(f"wrote {path}")
 
     metrics_path = os.path.join(out_dir, "fig1_metrics.csv")
-    with open(metrics_path, "w", newline="") as f:
-        f.write("series,revival_peak,revival_time,collapse_floor\n")
-        for label, m in metrics_rows:
-            f.write(f"{label},{m.revival_peak:.15f},{m.revival_time:.15f},"
-                    f"{m.collapse_floor:.15f}\n")
+    _write_atomic(metrics_path, [
+        "series,revival_peak,revival_time,collapse_floor\n",
+        *(f"{label},{m.revival_peak:.15f},{m.revival_time:.15f},"
+          f"{m.collapse_floor:.15f}\n" for label, m in metrics_rows)])
     print(f"wrote {metrics_path}")
 
 

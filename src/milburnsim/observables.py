@@ -15,7 +15,7 @@ from .fock import (
     poisson_pmf,
 )
 from .params import SystemParams, derived_params
-from .dynamics import TimeSeries, rabi_blocks
+from .dynamics import SERIES_BLOCK, TimeSeries, prune_weights, rabi_blocks
 from dataclasses import dataclass
 
 
@@ -54,6 +54,14 @@ def sigma_x_closed_form(p: SystemParams, t, n_max=None):
     the drive term |eps|^2 plus a damped, phase-rotated dispersive term.
     Vectorized over t.  A block with vanishing Rabi frequency does not
     evolve and contributes its full weight.
+
+    The evolving blocks are pruned like the series kernel's weights
+    (dynamics.prune_weights, dropped mass <= DROP_BUDGET) and the kept
+    weights are rescaled to the full mass of the evolving blocks, so
+    the value at t = 0 is unchanged and the result deviates from the
+    unpruned sum by at most 2 * DROP_BUDGET.  The time grid is evaluated
+    in blocks of at most SERIES_BLOCK entries, so memory does not grow
+    with len(t).
     """
     d = derived_params(p)
     if n_max is None:
@@ -69,17 +77,29 @@ def sigma_x_closed_form(p: SystemParams, t, n_max=None):
     eps2 = abs(p.epsilon) ** 2
     omega2 = detuned**2 + eps2
 
-    # stable forms of gamma t (1 - cos(2 Omega/gamma)) and
+    # prune the evolving blocks; rescale the kept ones to their full mass
+    live = np.flatnonzero(omega2)
+    keep, _ = prune_weights(weights[live])
+    n = live[keep]
+    kept = weights[n]
+    if n.size:
+        kept = kept * (weights[live].sum() / kept.sum())
+    # block n: (eps2 + exp(rate_n t) cos(freq_n t) Delta_n^2) / Omega_n^2
+    constant = weights[omega2 == 0].sum() + eps2 * (kept / omega2[n]).sum()
+    coeffs = kept * detuned[n] ** 2 / omega2[n]
+
+    # stable forms of -gamma t (1 - cos(2 Omega/gamma)) and
     # gamma t sin(2 Omega/gamma)
-    x = omega / p.gamma
-    damp = np.exp(-2.0 * p.gamma * np.sin(x) ** 2 * t[:, None])
-    phase = np.cos(p.gamma * np.sin(2.0 * x) * t[:, None])
+    x = omega[n] / p.gamma
+    rate = -2.0 * p.gamma * np.sin(x) ** 2
+    freq = p.gamma * np.sin(2.0 * x)
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        block = (eps2 + damp * detuned**2 * phase) / omega2
-    block[:, omega2 == 0] = 1.0  # frozen block
-
-    out = (weights * block).sum(axis=1)
+    out = np.empty(len(t))
+    rows = max(1, SERIES_BLOCK // max(1, len(coeffs)))
+    for start in range(0, len(t), rows):
+        tb = t[start:start + rows, None]
+        out[start:start + rows] = (
+            np.exp(rate * tb) * np.cos(freq * tb)) @ coeffs + constant
     return float(out[0]) if scalar else out
 
 

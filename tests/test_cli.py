@@ -1,7 +1,9 @@
+import errno
+
 import numpy as np
 import pytest
 
-from milburnsim import dynamics
+from milburnsim import cli, dynamics
 from milburnsim.cli import (
     EXIT_CONFIG,
     EXIT_GUARD,
@@ -10,6 +12,7 @@ from milburnsim.cli import (
     build_run_config,
     build_parser,
     main,
+    write_csv,
 )
 
 
@@ -104,12 +107,26 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("flag, value", [
         ("--gamma", "nan"), ("--alpha", "nan"), ("--epsilon", "inf"),
-        ("--tmax", "nan"), ("--gamma", "inf"), ("--delta", "inf")])
+        ("--tmax", "nan"), ("--gamma", "inf"), ("--delta", "inf"),
+        ("--observables", "sigma_x,sigma_x")])
     def test_non_finite_input_writes_nothing(self, tmp_path, flag, value):
+        # a repeated observable is refused the same way
         out = tmp_path / "x.csv"
-        code = main(run_args(flag, value, "--steps", "5", "--out", str(out)))
+        code = main(run_args("--method", "spectral", flag, value,
+                             "--steps", "5", "--out", str(out)))
         assert code == EXIT_CONFIG
         assert not out.exists()
+
+    @pytest.mark.parametrize("method", ["closed-form", "spectral"])
+    def test_overflowing_time_writes_nothing(self, tmp_path, capsys, method):
+        # gamma * t overflows, and 0 * inf would print nan rows
+        out = tmp_path / "x.csv"
+        with np.errstate(all="ignore"):
+            code = main(run_args("--method", method, "--tmax", "1e308",
+                                 "--steps", "3", "--out", str(out)))
+        assert code == EXIT_GUARD
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("numerical guard: ")
 
     def test_poisson_window_budget_exit_code(self, tmp_path):
         # gamma * tmax = 1e8 needs a window of about 1.6e5 kicks
@@ -126,6 +143,52 @@ class TestRunCommand:
         assert code == EXIT_CONFIG
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_failed_write_keeps_previous_output(self, tmp_path, monkeypatch,
+                                                capsys):
+        out = tmp_path / "x.csv"
+        out.write_bytes(b"previous run\n")
+        real_open = open
+
+        class FullDisk:
+            """A text file that holds 200 characters, then raises ENOSPC."""
+
+            def __init__(self, f):
+                self.f, self.room = f, 200
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, s):
+                self.f.write(s[:self.room])
+                self.room -= len(s)
+                if self.room < 0:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "open",
+                            lambda *a, **k: FullDisk(real_open(*a, **k)),
+                            raising=False)
+        code = main(run_args("--steps", "50", "--out", str(out)))
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_bytes() == b"previous run\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
+
+    def test_writer_matches_row_formatting(self, tmp_path, monkeypatch):
+        # 3 rows per block, so 11 rows span four blocks
+        monkeypatch.setattr(dynamics, "SERIES_BLOCK", 9)
+        edge = [-0.0, 5e-16, -1.0, 1.0 / 3.0, -5e-16, 1e-17, 0.5]
+        times = np.linspace(0.0, 1.0, 11)
+        cols = [np.resize(edge, 11), -np.resize(edge[::-1], 11)]
+        out = tmp_path / "w.csv"
+        write_csv(out, times, cols, ("a", "b"), ["note"])
+        expected = "# note\nt,a,b\n" + "".join(
+            f"{t:.15f},{a:.15f},{b:.15f}\n"
+            for t, a, b in zip(times, *cols))
+        assert out.read_bytes() == expected.encode()
 
     def test_byte_stable_output(self, tmp_path):
         out_1 = tmp_path / "r1.csv"

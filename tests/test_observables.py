@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from milburnsim.dynamics import SpectralPropagator, TimeSeries
+from milburnsim.dynamics import DROP_BUDGET, SpectralPropagator, TimeSeries
 from milburnsim.fock import (
     SIGMA_X,
     atom_field,
@@ -83,6 +83,31 @@ class TestClosedForm:
         p = SystemParams(lam=1.0, epsilon=0.0, delta=2.0, gamma=100.0,
                          alpha=1.5, dcut=64)
         assert abs(sigma_x_closed_form(p, 0.0) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("eps, gamma, alpha", [
+        (0.0, 1e6, 2.5), (0.5, 1e3, 2.5), (0.5, 1e6, 2.5),
+        (0.0, 100.0, 1.5)])   # eps = 0 freezes the n = 2 block
+    def test_pruning_within_budget(self, eps, gamma, alpha):
+        # unpruned Poisson-weighted sum over every block, frozen ones at 1
+        p = SystemParams(lam=1.0, epsilon=eps, delta=2.0, gamma=gamma,
+                         alpha=alpha, dcut=64)
+        d = derived_params(p)
+        from scipy.stats import poisson
+
+        n = np.arange(p.dcut)
+        w = poisson.pmf(n, abs(p.alpha - d.beta) ** 2)
+        detuned = d.chi * n + d.delta_tilde
+        omega = np.sqrt(detuned**2 + eps**2)
+        t = np.linspace(0.0, 12.0, 2400)[:, None]
+        # Milburn's factor exp(gamma t (e^{-2i omega/gamma} - 1))
+        factor = np.exp(p.gamma * t * np.expm1(-2j * omega / p.gamma)).real
+        with np.errstate(invalid="ignore"):
+            block = np.where(omega == 0, 1.0,
+                             (eps**2 + detuned**2 * factor) / omega**2)
+        assert (omega == 0).any() == (eps == 0)
+        oracle = block @ w
+        closed = sigma_x_closed_form(p, t[:, 0])
+        assert np.max(np.abs(closed - oracle)) <= 2 * DROP_BUDGET
 
 
 class TestStateObservables:
