@@ -13,7 +13,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,9 +44,34 @@ from .hamiltonians import effective_hamiltonian_displaced, interaction_hamiltoni
 from .observables import initial_density, revival_metrics, sigma_x_closed_form
 from .params import SystemParams, derived_params
 
-METHODS = ("closed-form", "spectral", "poisson", "lindblad", "schrodinger",
-           "full-oracle")
+# Each method's Hamiltonian and its scalar factor F(omega, t, gamma) per
+# eigenfrequency; closed-form evaluates its series directly.
+METHODS = {
+    "closed-form": None,
+    "spectral": (effective_hamiltonian_displaced, milburn_factor),
+    "poisson": (effective_hamiltonian_displaced, poisson_factor),
+    "lindblad": (effective_hamiltonian_displaced, first_order_factor),
+    "schrodinger": (effective_hamiltonian_displaced, unitary_factor),
+    "full-oracle": (interaction_hamiltonian, milburn_factor),
+}
 OBSERVABLES = ("sigma_x", "sigma_z", "purity")
+
+# Every run setting: flag name (without --) and config key, RunConfig
+# field (epsilon_im is folded into epsilon) and type.
+RUN_SETTINGS = {
+    "lambda": ("lam", float),
+    "epsilon": ("epsilon", float),
+    "epsilon-im": ("epsilon_im", float),
+    "delta": ("delta", float),
+    "gamma": ("gamma", float),
+    "alpha": ("alpha", float),
+    "cutoff": ("dcut", int),
+    "tmax": ("tmax", float),
+    "steps": ("steps", int),
+    "method": ("method", str),
+    "observables": ("observables", str),
+    "out": ("out", str),
+}
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -54,28 +79,42 @@ EXIT_GUARD = 3
 EXIT_VALIDATION = 4
 
 
+class ConfigError(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
-class RunConfig:
-    lam: float = 1.0
-    epsilon: complex = 0.0
-    delta: float = 2.0
-    gamma: float = 1e6
-    alpha: complex = 2.5
-    dcut: int = 64
+class RunConfig(SystemParams):
+    """The physical parameters plus the time grid, method, observables
+    and output path of one run."""
+
     tmax: float = 12.0
     steps: int = 1200
     method: str = "closed-form"
     observables: tuple = ("sigma_x",)
     out: str = "series.csv"
 
-    def system_params(self) -> SystemParams:
-        return SystemParams(lam=self.lam, epsilon=self.epsilon,
-                            delta=self.delta, gamma=self.gamma,
-                            alpha=self.alpha, dcut=self.dcut)
-
-
-class ConfigError(ValueError):
-    pass
+    def __post_init__(self):
+        if self.method not in METHODS:
+            raise ConfigError(
+                f"unknown method {self.method!r}; choose from {', '.join(METHODS)}")
+        bad = [o for o in self.observables if o not in OBSERVABLES]
+        if bad:
+            raise ConfigError(
+                f"unknown observables {bad}; choose from {', '.join(OBSERVABLES)}")
+        if not self.observables:
+            raise ConfigError(
+                f"no observables given; choose from {', '.join(OBSERVABLES)}")
+        if len(set(self.observables)) < len(self.observables):
+            raise ConfigError(
+                f"repeated observables in {','.join(self.observables)}")
+        if self.method == "closed-form" and tuple(self.observables) != ("sigma_x",):
+            raise ConfigError("closed-form method computes sigma_x only")
+        if not (math.isfinite(self.tmax) and self.tmax > 0):
+            raise ConfigError(f"tmax must be positive and finite, got {self.tmax}")
+        if self.steps < 2:
+            raise ConfigError(f"steps must be >= 2, got {self.steps}")
+        super().__post_init__()
 
 
 def _parse_config_file(path):
@@ -96,89 +135,36 @@ def _parse_config_file(path):
     return values
 
 
-_FLOAT_KEYS = {"lambda": "lam", "epsilon": "epsilon", "epsilon-im": "epsilon_im",
-               "delta": "delta", "gamma": "gamma", "alpha": "alpha",
-               "tmax": "tmax"}
-_INT_KEYS = {"cutoff": "dcut", "steps": "steps"}
-
-
 def build_run_config(args) -> RunConfig:
     """Defaults < config file < command-line flags."""
     merged = {}
-    eps_im = 0.0
     if args.config:
         for key, raw in _parse_config_file(args.config).items():
-            if key in _FLOAT_KEYS:
-                try:
-                    val = float(raw)
-                except ValueError:
-                    raise ConfigError(f"config key {key}: bad number {raw!r}")
-                if key == "epsilon-im":
-                    eps_im = val
-                else:
-                    merged[_FLOAT_KEYS[key]] = val
-            elif key in _INT_KEYS:
-                try:
-                    merged[_INT_KEYS[key]] = int(raw)
-                except ValueError:
-                    raise ConfigError(f"config key {key}: bad integer {raw!r}")
-            elif key == "method":
-                merged["method"] = raw
-            elif key == "out":
-                merged["out"] = raw
-            elif key == "observables":
-                merged["observables"] = tuple(
-                    s.strip() for s in raw.split(",") if s.strip())
-            else:
+            if key not in RUN_SETTINGS:
                 raise ConfigError(f"unknown config key {key!r}")
+            name, kind = RUN_SETTINGS[key]
+            try:
+                merged[name] = kind(raw)
+            except ValueError as e:
+                raise ConfigError(f"config key {key}: {e}")
+    flags = vars(args)
+    for name, _ in RUN_SETTINGS.values():
+        if flags.get(name) is not None:
+            merged[name] = flags[name]
 
-    for attr in ("lam", "epsilon", "delta", "gamma", "alpha", "dcut",
-                 "tmax", "steps", "method", "out"):
-        val = getattr(args, attr, None)
-        if val is not None:
-            merged[attr] = val
-    if getattr(args, "epsilon_im", None) is not None:
-        eps_im = args.epsilon_im
-    if getattr(args, "observables", None) is not None:
-        merged["observables"] = tuple(
-            s.strip() for s in args.observables.split(",") if s.strip())
-
-    cfg = RunConfig(**merged)
+    eps_im = merged.pop("epsilon_im", 0.0)
     if eps_im:
-        cfg = replace(cfg, epsilon=complex(cfg.epsilon) + 1j * eps_im)
-
-    if cfg.method not in METHODS:
-        raise ConfigError(
-            f"unknown method {cfg.method!r}; choose from {', '.join(METHODS)}")
-    bad = [o for o in cfg.observables if o not in OBSERVABLES]
-    if bad:
-        raise ConfigError(
-            f"unknown observables {bad}; choose from {', '.join(OBSERVABLES)}")
-    if len(set(cfg.observables)) < len(cfg.observables):
-        raise ConfigError(
-            f"repeated observables in {','.join(cfg.observables)}")
-    if cfg.method == "closed-form" and tuple(cfg.observables) != ("sigma_x",):
-        raise ConfigError("closed-form method computes sigma_x only")
-    if not (math.isfinite(cfg.tmax) and cfg.tmax > 0):
-        raise ConfigError(f"tmax must be positive and finite, got {cfg.tmax}")
-    if cfg.steps < 2:
-        raise ConfigError(f"steps must be >= 2, got {cfg.steps}")
+        merged["epsilon"] = (complex(merged.get("epsilon", RunConfig.epsilon))
+                             + 1j * eps_im)
+    if "observables" in merged:
+        merged["observables"] = tuple(
+            s.strip() for s in merged["observables"].split(",") if s.strip())
     try:
-        cfg.system_params()
+        return RunConfig(**merged)
     except ValueError as e:
         raise ConfigError(str(e))
-    return cfg
 
 
-# Each density-matrix method's scalar factor F(omega, t, gamma) per
-# eigenfrequency.
-ROUTE_FACTORS = {
-    "spectral": milburn_factor,
-    "full-oracle": milburn_factor,
-    "poisson": poisson_factor,
-    "schrodinger": unitary_factor,
-    "lindblad": first_order_factor,
-}
 ATOM_OPERATORS = {"sigma_x": SIGMA_X, "sigma_z": SIGMA_Z}
 
 
@@ -187,24 +173,18 @@ def compute_series(cfg: RunConfig):
 
     Returns (times, columns) with one column per observable.
     """
-    p = cfg.system_params()
     times = np.linspace(0.0, cfg.tmax, cfg.steps)
+    if METHODS[cfg.method] is None:
+        return times, [sigma_x_closed_form(cfg, times)]
 
-    if cfg.method == "closed-form":
-        return times, [sigma_x_closed_form(p, times)]
-
-    if cfg.method == "full-oracle":
-        h = interaction_hamiltonian(p)
-    else:
-        h = effective_hamiltonian_displaced(p)
-    h = 0.5 * (h + h.conj().T)
-    rho0 = initial_density(p)
-    prop = SpectralPropagator(h=h, gamma=p.gamma)
-    factor = ROUTE_FACTORS[cfg.method]
+    hamiltonian, factor = METHODS[cfg.method]
+    h = hamiltonian(cfg)
+    rho0 = initial_density(cfg)
+    prop = SpectralPropagator(h=h, gamma=cfg.gamma)
     cols = []
     for name in cfg.observables:
         op = None if name == "purity" else atom_field(
-            ATOM_OPERATORS[name], identity_field(p.dcut))
+            ATOM_OPERATORS[name], identity_field(cfg.dcut))
         cols.append(prop.expectation_series(rho0, op, times, factor).real)
     return times, cols
 
@@ -273,7 +253,9 @@ def cmd_run(args):
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        times, cols = compute_series(cfg)
+        # overflow shows up as non-finite values, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            times, cols = compute_series(cfg)
     except (TruncationError, CutoffTooSmallError, WindowBudgetError) as e:
         print(f"numerical guard: {e}", file=sys.stderr)
         return EXIT_GUARD
@@ -356,7 +338,6 @@ def _validation_checks():
 
     # assembled propagator vs dense exponential of the displaced Hamiltonian
     h = effective_hamiltonian_displaced(p)
-    h = 0.5 * (h + h.conj().T)
     u_blocks = dynamics.effective_propagator(0.5, p)
     u_dense = matrix_exponential(-1j * 0.5 * h)
     idx = np.r_[0:p.dcut - 4, p.dcut:2 * p.dcut - 4]
@@ -368,7 +349,6 @@ def _validation_checks():
     p_small = SystemParams(lam=1.0, epsilon=0.5, delta=2.0, gamma=50.0,
                            alpha=1.0, dcut=16)
     h_small = effective_hamiltonian_displaced(p_small)
-    h_small = 0.5 * (h_small + h_small.conj().T)
     ra = milburn_poisson_evolve(rho0, h_small, 1.0, MilburnConfig(gamma=50.0))
     rb = dynamics.milburn_spectral_evolve(rho0, h_small, 1.0, 50.0)
     gap = np.max(np.abs(ra - rb))
@@ -409,20 +389,10 @@ def build_parser():
 
     run = sub.add_parser("run", help="evolve one parameter set to CSV")
     run.add_argument("--config", help="file of key = value lines")
-    run.add_argument("--lambda", dest="lam", type=float)
-    run.add_argument("--epsilon", type=float)
-    run.add_argument("--epsilon-im", dest="epsilon_im", type=float)
-    run.add_argument("--delta", type=float)
-    run.add_argument("--gamma", type=float)
-    run.add_argument("--alpha", type=float)
-    run.add_argument("--cutoff", dest="dcut", type=int)
-    run.add_argument("--tmax", type=float)
-    run.add_argument("--steps", type=int)
-    run.add_argument("--method", type=str)
-    run.add_argument("--observables", type=str,
-                     help="comma-separated subset of "
-                          + ",".join(OBSERVABLES))
-    run.add_argument("--out", type=str)
+    for key, (name, kind) in RUN_SETTINGS.items():
+        run.add_argument(f"--{key}", dest=name, type=kind, help=(
+            "comma-separated subset of " + ",".join(OBSERVABLES)
+            if key == "observables" else None))
     run.set_defaults(func=cmd_run)
 
     fig1 = sub.add_parser("fig1", help="emit the three reference curves")

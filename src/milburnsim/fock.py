@@ -24,7 +24,6 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)   # |e><g|
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |g><e|
 SIGMA_X = SIGMA_PLUS + SIGMA_MINUS
-IDENTITY_ATOM = np.eye(2, dtype=complex)
 
 COHERENT_TAIL_TOL = 1e-12
 

@@ -72,11 +72,13 @@ def effective_core(p: SystemParams):
 
 def effective_hamiltonian_displaced(p: SystemParams):
     """D(beta) {sz [chi N + delta_tilde] + eps s+ + eps* s-} D^dag(beta),
-    with the displacement acting on the field factor only."""
+    with the displacement acting on the field factor only.  Returns the
+    Hermitian part, which drops the rounding skew of the products."""
     warn_if_not_dispersive(p)
     d = derived_params(p)
     disp = atom_field(np.eye(2), displacement(d.beta, p.dcut))
-    return disp @ effective_core(p) @ disp.conj().T
+    h = disp @ effective_core(p) @ disp.conj().T
+    return 0.5 * (h + h.conj().T)
 
 
 def _rotation_generator(dcut):

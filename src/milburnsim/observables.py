@@ -47,7 +47,7 @@ def _poisson_weights(mean, n_max):
     return w
 
 
-def sigma_x_closed_form(p: SystemParams, t, n_max=None):
+def sigma_x_closed_form(p: SystemParams, t):
     """Closed-form atomic polarization <sigma_x>(t).
 
     Poisson-weighted sum over photon-number blocks; each block carries
@@ -64,16 +64,14 @@ def sigma_x_closed_form(p: SystemParams, t, n_max=None):
     with len(t).
     """
     d = derived_params(p)
-    if n_max is None:
-        n_max = p.dcut
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
 
     shifted_mean = abs(p.alpha - d.beta) ** 2
-    weights = _poisson_weights(shifted_mean, n_max)
+    weights = _poisson_weights(shifted_mean, p.dcut)
 
-    detuned, omega = rabi_blocks(p, np.arange(n_max))
+    detuned, omega = rabi_blocks(p, np.arange(p.dcut))
     eps2 = abs(p.epsilon) ** 2
     omega2 = detuned**2 + eps2
 

@@ -5,6 +5,7 @@ hbar = 1 throughout.
 """
 
 import cmath
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -41,6 +42,14 @@ class SystemParams:
             raise ValueError(f"decoherence rate must be positive, got {self.gamma}")
         if self.dcut < 2:
             raise ValueError(f"Fock cutoff must be >= 2, got {self.dcut}")
+        beta = derived_params(self).beta
+        try:
+            means = abs(self.alpha) ** 2 + abs(self.alpha - beta) ** 2
+        except OverflowError:
+            means = math.inf
+        if not math.isfinite(means):
+            raise ValueError(f"|alpha|^2 and |alpha - beta|^2 must be finite, "
+                             f"got alpha = {self.alpha}, beta = {beta}")
 
 
 @dataclass(frozen=True)
@@ -68,13 +77,20 @@ def warn_if_not_dispersive(p: SystemParams):
 
 def derived_params(p: SystemParams) -> DerivedParams:
     """eta = -lam/delta, chi = -2 lam^2/delta, beta = eta/chi,
-    delta_tilde = delta - |epsilon|^2/chi."""
-    if p.delta == 0:
-        raise ValueError("detuning must be nonzero")
-    if p.lam == 0:
-        raise ValueError("coupling must be nonzero (dispersive rate vanishes)")
-    eta = -p.lam / p.delta
-    chi = -2.0 * p.lam**2 / p.delta
-    beta = eta / chi
-    delta_tilde = p.delta - abs(p.epsilon) ** 2 / chi
+    delta_tilde = delta - |epsilon|^2/chi.
+
+    Raises ValueError when one of them is not finite (chi underflowing
+    to zero, or a square overflowing)."""
+    try:
+        eta = -p.lam / p.delta
+        chi = -2.0 * p.lam**2 / p.delta
+        beta = eta / chi
+        delta_tilde = p.delta - abs(p.epsilon) ** 2 / chi
+        finite = all(map(math.isfinite, (eta, chi, beta, delta_tilde)))
+    except (ZeroDivisionError, OverflowError):
+        finite = False
+    if not finite:
+        raise ValueError(f"eta, chi, beta and delta_tilde must be finite, got "
+                         f"lambda = {p.lam}, delta = {p.delta}, "
+                         f"epsilon = {p.epsilon}")
     return DerivedParams(eta=eta, chi=chi, beta=beta, delta_tilde=delta_tilde)

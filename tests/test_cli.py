@@ -9,6 +9,7 @@ from milburnsim.cli import (
     EXIT_GUARD,
     EXIT_OK,
     EXIT_VALIDATION,
+    ConfigError,
     build_run_config,
     build_parser,
     main,
@@ -56,6 +57,36 @@ class TestConfigParsing:
             ["run", "--epsilon", "0.3", "--epsilon-im", "0.4"])
         cfg = build_run_config(args)
         assert cfg.epsilon == 0.3 + 0.4j
+
+    # one value per run setting, each different from its default
+    SETTING_VALUES = {
+        "lambda": "1.5", "epsilon": "0.25", "epsilon-im": "0.5",
+        "delta": "-3", "gamma": "500", "alpha": "1.25", "cutoff": "32",
+        "tmax": "4", "steps": "30", "method": "poisson",
+        "observables": "sigma_z,purity", "out": "other.csv"}
+
+    @pytest.mark.parametrize("key", list(cli.RUN_SETTINGS))
+    def test_config_key_matches_flag(self, tmp_path, key):
+        # method = spectral in both, so that every observable is allowed
+        value = self.SETTING_VALUES[key]
+        base = tmp_path / "base.conf"
+        base.write_text("method = spectral\n")
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"method = spectral\n{key} = {value}\n")
+        parse = build_parser().parse_args
+        from_file = build_run_config(parse(["run", "--config", str(conf)]))
+        from_flag = build_run_config(
+            parse(["run", "--config", str(base), f"--{key}", value]))
+        assert from_file == from_flag
+        assert from_file != build_run_config(
+            parse(["run", "--config", str(base)]))
+
+    def test_config_value_of_wrong_type(self, tmp_path):
+        conf = tmp_path / "run.conf"
+        conf.write_text("cutoff = 6.5\n")
+        args = build_parser().parse_args(["run", "--config", str(conf)])
+        with pytest.raises(ConfigError, match="config key cutoff: "):
+            build_run_config(args)
 
     def test_unknown_config_key(self, tmp_path):
         conf = tmp_path / "run.conf"
@@ -108,25 +139,31 @@ class TestRunCommand:
     @pytest.mark.parametrize("flag, value", [
         ("--gamma", "nan"), ("--alpha", "nan"), ("--epsilon", "inf"),
         ("--tmax", "nan"), ("--gamma", "inf"), ("--delta", "inf"),
-        ("--observables", "sigma_x,sigma_x")])
-    def test_non_finite_input_writes_nothing(self, tmp_path, flag, value):
-        # a repeated observable is refused the same way
+        ("--observables", "sigma_x,sigma_x"), ("--observables", ","),
+        ("--lambda", "1e-200"), ("--lambda", "1e200"), ("--epsilon", "1e160"),
+        ("--alpha", "1e200"), ("--delta", "1e-310")])
+    def test_non_finite_input_writes_nothing(self, tmp_path, capsys, flag,
+                                             value):
+        # so are a repeated or empty observable list and finite inputs
+        # whose derived parameters are not finite
         out = tmp_path / "x.csv"
         code = main(run_args("--method", "spectral", flag, value,
                              "--steps", "5", "--out", str(out)))
         assert code == EXIT_CONFIG
         assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("method", ["closed-form", "spectral"])
     def test_overflowing_time_writes_nothing(self, tmp_path, capsys, method):
         # gamma * t overflows, and 0 * inf would print nan rows
         out = tmp_path / "x.csv"
-        with np.errstate(all="ignore"):
-            code = main(run_args("--method", method, "--tmax", "1e308",
-                                 "--steps", "3", "--out", str(out)))
+        code = main(run_args("--method", method, "--tmax", "1e308",
+                             "--steps", "3", "--out", str(out)))
         assert code == EXIT_GUARD
         assert not out.exists()
-        assert capsys.readouterr().err.startswith("numerical guard: ")
+        err = capsys.readouterr().err
+        assert err.startswith("numerical guard: ") and err.count("\n") == 1
 
     def test_poisson_window_budget_exit_code(self, tmp_path):
         # gamma * tmax = 1e8 needs a window of about 1.6e5 kicks

@@ -66,6 +66,13 @@ class TestDerivedParams:
             SystemParams(delta=0.0)
         with pytest.raises(ValueError):
             SystemParams(gamma=0.0)
+        # finite inputs whose derived parameters are not: chi underflows to
+        # -0.0, a square overflows, or eta and chi overflow and beta is nan
+        for field, value in [("lam", 1e-200), ("lam", 1e200),
+                             ("epsilon", 1e160), ("alpha", 1e200),
+                             ("delta", 1e-310)]:
+            with pytest.raises(ValueError):
+                SystemParams(**{field: value})
 
     def test_dispersive_warning(self):
         from milburnsim.params import warn_if_not_dispersive
@@ -152,8 +159,9 @@ class TestDisplacedForm:
         assert np.max(np.abs(ed[:40] - ec[:40])) <= 1e-8
 
     def test_hermiticity(self, fig1b):
+        # exactly: callers use it without taking the Hermitian part
         h = effective_hamiltonian_displaced(fig1b)
-        assert np.max(np.abs(h - h.conj().T)) <= 1e-12
+        assert np.max(np.abs(h - h.conj().T)) == 0.0
 
 
 class TestSmallRotation:

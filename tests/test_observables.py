@@ -74,9 +74,9 @@ class TestClosedForm:
 
     def test_tail_guard(self):
         p = SystemParams(lam=1.0, epsilon=0.0, delta=2.0, gamma=1.0,
-                         alpha=2.5, dcut=64)
+                         alpha=2.5, dcut=8)
         with pytest.raises(ValueError):
-            sigma_x_closed_form(p, 0.5, n_max=8)
+            sigma_x_closed_form(p, 0.5)
 
     def test_frozen_block_counts_fully(self):
         # chi = -1, delta_tilde = 2 freezes the n = 2 block; t = 0 still sums to 1
