@@ -7,7 +7,9 @@ Routes:
     density-matrix route is diagonal in the eigenbasis of H, so an
     observable's time series is one eigendecomposition plus one scalar
     factor per eigenfrequency (Milburn's, the windowed Poisson kick sum,
-    the first-order master equation's, or the unitary phase);
+    the first-order master equation's, or the unitary phase), folded
+    onto half the eigenpairs and summed in real arithmetic by
+    folded_series, which the closed form shares;
   * state-level routes kept as independent references for that kernel:
     exact intrinsic-decoherence evolution as a Poisson-weighted sum of
     repeated unitary kicks or in spectral closed form, a fixed-step RK4
@@ -17,6 +19,7 @@ Routes:
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -57,7 +60,7 @@ class WindowBudgetError(RuntimeError):
 
 def rabi_blocks(p: SystemParams, n):
     """Detuning Delta_n = chi n + delta_tilde and Rabi frequency
-    Omega_n = sqrt(Delta_n^2 + |epsilon|^2) of the photon-number blocks
+    Omega_n = hypot(Delta_n, |epsilon|) of the photon-number blocks
     h_n = [[Delta_n, epsilon], [epsilon*, -Delta_n]] of the undisplaced
     core, for array-like n >= 0.
 
@@ -69,7 +72,7 @@ def rabi_blocks(p: SystemParams, n):
         raise ValueError(f"photon number must be >= 0, got {n.min()}")
     d = derived_params(p)
     detuned = d.chi * n + d.delta_tilde
-    return detuned, np.sqrt(detuned**2 + abs(p.epsilon) ** 2)
+    return detuned, np.hypot(detuned, abs(p.epsilon))
 
 
 def block_propagators(t, p: SystemParams):
@@ -178,15 +181,42 @@ SERIES_BLOCK = 2**15  # factor entries the series kernel evaluates at once
 DROP_BUDGET = 1e-14   # summed |weight| the series kernel may drop
 
 
-def milburn_factor(omega, t, gamma):
-    """Milburn's factor exp(gamma t (e^{-i w/gamma} - 1)) per
-    eigenfrequency w, in a numerically stable split of modulus and
-    phase."""
+@dataclass(frozen=True)
+class ExponentialFactor:
+    """Route factor F(w, t, gamma) = exp(t c(w, gamma)), declared by its
+    exponent: ``exponent(omega, gamma)`` returns (Re c, Im c), even and
+    odd in w, so F(-w) = conj F(w) and |F|^2 = exp(2 t Re c)."""
+
+    exponent: Callable
+
+    def __call__(self, omega, t, gamma):
+        rate, freq = self.exponent(omega, gamma)
+        return np.exp(rate * t + 1j * (freq * t))
+
+
+def milburn_exponent(omega, gamma):
+    """Milburn's exponent gamma (e^{-i w/gamma} - 1), split as
+    (-2 gamma sin^2(w/2 gamma), -gamma sin(w/gamma)), stable for tiny
+    w/gamma."""
     x = omega / gamma
-    # gamma t (cos x - 1) = -2 gamma t sin^2(x/2), stable for tiny x
-    log_mod = -2.0 * gamma * t * np.sin(0.5 * x) ** 2
-    phase = -gamma * t * np.sin(x)
-    return np.exp(log_mod + 1j * phase)
+    return -2.0 * gamma * np.sin(0.5 * x) ** 2, -gamma * np.sin(x)
+
+
+def first_order_exponent(omega, gamma):
+    """Exponent -i w - w^2 / 2 gamma of the first-order master equation
+    drho/dt = -i[h, rho] - (1/2 gamma) [h, [h, rho]]."""
+    return -omega**2 / (2.0 * gamma), -omega
+
+
+def unitary_exponent(omega, gamma):
+    """Schrodinger exponent -i w, the gamma -> infinity limit; gamma is
+    ignored."""
+    return np.zeros_like(omega), -omega
+
+
+milburn_factor = ExponentialFactor(milburn_exponent)
+first_order_factor = ExponentialFactor(first_order_exponent)
+unitary_factor = ExponentialFactor(unitary_exponent)
 
 
 def poisson_factor(omega, t, gamma):
@@ -206,18 +236,6 @@ def poisson_factor(omega, t, gamma):
     return out
 
 
-def first_order_factor(omega, t, gamma):
-    """Factor exp(-i w t - w^2 t / 2 gamma) of the first-order master
-    equation drho/dt = -i[h, rho] - (1/2 gamma) [h, [h, rho]]."""
-    return np.exp(-1j * omega * t - omega**2 * t / (2.0 * gamma))
-
-
-def unitary_factor(omega, t, gamma):
-    """Schrodinger phase exp(-i w t), the gamma -> infinity limit;
-    gamma is ignored."""
-    return np.exp(-1j * omega * t)
-
-
 def prune_weights(weights):
     """Drop the smallest weights while their summed modulus stays within
     DROP_BUDGET.
@@ -232,6 +250,40 @@ def prune_weights(weights):
     n_drop = int(np.searchsorted(cumulative, DROP_BUDGET, side="right"))
     dropped = float(cumulative[n_drop - 1]) if n_drop else 0.0
     return np.sort(order[n_drop:]), dropped
+
+
+def folded_series(constant, weights, omega, times, factor, gamma,
+                  squared=False):
+    """constant + Re sum_p weights_p F(omega_p, t) on a time grid, or with
+    ``squared`` (real weights) constant + sum_p weights_p |F(omega_p, t)|^2.
+
+    An ExponentialFactor is evaluated in real arithmetic: |F|^2 as
+    exp(2 t Re c), and the sin(t Im c) term only for weights with an
+    imaginary part.  Any other factor (poisson_factor) is called for the
+    complex F.  Time rows go in blocks of at most SERIES_BLOCK entries.
+    """
+    times = np.asarray(times, dtype=float)
+    wr, wi = weights.real, weights.imag
+    exponential = isinstance(factor, ExponentialFactor)
+    if exponential:
+        rate, freq = factor.exponent(omega, gamma)
+    out = np.empty(len(times))
+    rows = max(1, SERIES_BLOCK // max(1, len(omega)))
+    for start in range(0, len(times), rows):
+        tb = times[start:start + rows, None]
+        if not exponential:
+            f = factor(omega, tb, gamma)
+            block = ((f.real**2 + f.imag**2) @ wr if squared
+                     else f.real @ wr - f.imag @ wi)
+        elif squared:
+            block = np.exp(2.0 * rate * tb) @ wr
+        else:
+            damp = np.exp(rate * tb)
+            block = (damp * np.cos(freq * tb)) @ wr
+            if wi.any():
+                block -= (damp * np.sin(freq * tb)) @ wi
+        out[start:start + rows] = block + constant
+    return out
 
 
 @dataclass
@@ -250,49 +302,52 @@ class SpectralPropagator:
         _check_hermitian(h)
         self.energies, self.vectors = np.linalg.eigh(h)
 
-    def _frequencies(self):
-        return self.energies[:, None] - self.energies[None, :]
-
     def _to_eigenbasis(self, m):
         return self.vectors.conj().T @ np.asarray(m, dtype=complex) @ self.vectors
 
     def decay_factors(self, t):
         """Milburn's factor at time t for every eigenpair, w = E_j - E_k."""
-        return milburn_factor(self._frequencies(), t, self.gamma)
+        omega = self.energies[:, None] - self.energies[None, :]
+        return milburn_factor(omega, t, self.gamma)
 
     def evolve(self, rho0, t):
         rho_e = self._to_eigenbasis(rho0) * self.decay_factors(t)
         return self.vectors @ rho_e @ self.vectors.conj().T
 
-    def expectation_series(self, rho0, op, times, factor=milburn_factor):
-        """Tr(rho(t) op) on a time grid without building any density
-        matrix: sum_jk w_jk F(w_jk, t) with weights
-        w_jk = rho_e[j,k] op_e[k,j] in the eigenbasis of h.
+    def folded_weights(self, rho0, op):
+        """The series sum_jk w_jk F(w_jk, t) of Tr(rho(t) op), for
+        Hermitian rho0 and op, folded onto the eigenpairs j < k.
 
-        ``op=None`` gives the purity Tr(rho(t)^2), with weights
-        |rho_e[j,k]|^2 and factor |F|^2.  ``factor(omega, t, gamma)``
-        maps eigenfrequencies (1-D), a column of times and this
-        propagator's gamma to one factor per pair.  Weights are pruned by
-        prune_weights, and the factor is evaluated in blocks of time rows
-        of at most SERIES_BLOCK entries.  Returns a complex array.
+        The weights w_jk = rho_e[j,k] op_e[k,j] in the eigenbasis of h
+        have w_kj = conj w_jk, and every factor has F(0) = 1 and
+        F(-w) = conj F(w), so the series is sum_j w_jj plus
+        Re sum_{j<k} 2 w_jk F(E_j - E_k, t).  ``op=None`` gives the
+        purity: weights |rho_e[j,k]|^2 with factor |F|^2.
+
+        Returns (constant, weights, omega, dropped): sum_j w_jj, the
+        folded weights 2 w_jk kept by prune_weights, their frequencies
+        E_j - E_k and the dropped sum, which bounds the error of the
+        series since |Re(2 w_jk F)| <= 2 |w_jk|.
         """
         rho_e = self._to_eigenbasis(rho0)
         if op is None:
             weights = np.abs(rho_e) ** 2
         else:
             weights = rho_e * self._to_eigenbasis(op).T
-        keep, _ = prune_weights(weights)
-        weights = weights.ravel()[keep]
-        omega = self._frequencies().ravel()[keep]
-        times = np.asarray(times, dtype=float)
-        out = np.empty(len(times), dtype=complex)
-        rows = max(1, SERIES_BLOCK // max(1, len(keep)))
-        for start in range(0, len(times), rows):
-            f = factor(omega, times[start:start + rows, None], self.gamma)
-            if op is None:
-                f = f.real**2 + f.imag**2
-            out[start:start + rows] = f @ weights
-        return out
+        j, k = np.triu_indices(len(weights), 1)
+        folded = 2.0 * weights[j, k]
+        keep, dropped = prune_weights(folded)
+        omega = self.energies[j[keep]] - self.energies[k[keep]]
+        return float(np.trace(weights).real), folded[keep], omega, dropped
+
+    def expectation_series(self, rho0, op, times, factor=milburn_factor):
+        """Tr(rho(t) op) on a time grid, ``op=None`` for the purity
+        Tr(rho(t)^2), without building any density matrix: folded_series
+        over folded_weights with the route's ``factor(omega, t, gamma)``.
+        Returns a float array."""
+        constant, weights, omega, _ = self.folded_weights(rho0, op)
+        return folded_series(constant, weights, omega, times, factor,
+                             self.gamma, squared=op is None)
 
 
 def milburn_spectral_evolve(rho0, h, t, gamma):

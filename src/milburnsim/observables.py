@@ -15,7 +15,8 @@ from .fock import (
     poisson_pmf,
 )
 from .params import SystemParams, derived_params
-from .dynamics import SERIES_BLOCK, TimeSeries, prune_weights, rabi_blocks
+from .dynamics import (
+    TimeSeries, folded_series, milburn_factor, prune_weights, rabi_blocks)
 from dataclasses import dataclass
 
 
@@ -50,55 +51,37 @@ def _poisson_weights(mean, n_max):
 def sigma_x_closed_form(p: SystemParams, t):
     """Closed-form atomic polarization <sigma_x>(t).
 
-    Poisson-weighted sum over photon-number blocks; each block carries
-    the drive term |eps|^2 plus a damped, phase-rotated dispersive term.
-    Vectorized over t.  A block with vanishing Rabi frequency does not
-    evolve and contributes its full weight.
+    Poisson-weighted sum over photon-number blocks: block n contributes
+    (|eps|^2 + Re F(2 Omega_n, t) Delta_n^2) / Omega_n^2 with Milburn's
+    factor F, evaluated by dynamics.folded_series.  Vectorized over t.  A
+    block with vanishing Rabi frequency does not evolve and contributes
+    its full weight.
 
     The evolving blocks are pruned like the series kernel's weights
     (dynamics.prune_weights, dropped mass <= DROP_BUDGET) and the kept
     weights are rescaled to the full mass of the evolving blocks, so
     the value at t = 0 is unchanged and the result deviates from the
-    unpruned sum by at most 2 * DROP_BUDGET.  The time grid is evaluated
-    in blocks of at most SERIES_BLOCK entries, so memory does not grow
-    with len(t).
+    unpruned sum by at most 2 * DROP_BUDGET.
     """
     d = derived_params(p)
     t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-
-    shifted_mean = abs(p.alpha - d.beta) ** 2
-    weights = _poisson_weights(shifted_mean, p.dcut)
-
+    weights = _poisson_weights(abs(p.alpha - d.beta) ** 2, p.dcut)
     detuned, omega = rabi_blocks(p, np.arange(p.dcut))
-    eps2 = abs(p.epsilon) ** 2
-    omega2 = detuned**2 + eps2
 
     # prune the evolving blocks; rescale the kept ones to their full mass
-    live = np.flatnonzero(omega2)
+    live = np.flatnonzero(omega)
     keep, _ = prune_weights(weights[live])
     n = live[keep]
     kept = weights[n]
     if n.size:
         kept = kept * (weights[live].sum() / kept.sum())
-    # block n: (eps2 + exp(rate_n t) cos(freq_n t) Delta_n^2) / Omega_n^2
-    constant = weights[omega2 == 0].sum() + eps2 * (kept / omega2[n]).sum()
-    coeffs = kept * detuned[n] ** 2 / omega2[n]
-
-    # stable forms of -gamma t (1 - cos(2 Omega/gamma)) and
-    # gamma t sin(2 Omega/gamma)
-    x = omega[n] / p.gamma
-    rate = -2.0 * p.gamma * np.sin(x) ** 2
-    freq = p.gamma * np.sin(2.0 * x)
-
-    out = np.empty(len(t))
-    rows = max(1, SERIES_BLOCK // max(1, len(coeffs)))
-    for start in range(0, len(t), rows):
-        tb = t[start:start + rows, None]
-        out[start:start + rows] = (
-            np.exp(rate * tb) * np.cos(freq * tb)) @ coeffs + constant
-    return float(out[0]) if scalar else out
+    # ratios, not Delta_n^2 / Omega_n^2, which overflows for huge Delta_n
+    constant = (weights[omega == 0].sum()
+                + (kept * (abs(p.epsilon) / omega[n]) ** 2).sum())
+    values = folded_series(constant, kept * (detuned[n] / omega[n]) ** 2,
+                           2.0 * omega[n], np.atleast_1d(t), milburn_factor,
+                           p.gamma)
+    return float(values[0]) if t.ndim == 0 else values
 
 
 def sigma_x_from_state(rho):

@@ -3,7 +3,7 @@ import errno
 import numpy as np
 import pytest
 
-from milburnsim import cli, dynamics
+from milburnsim import cli, dynamics, observables
 from milburnsim.cli import (
     EXIT_CONFIG,
     EXIT_GUARD,
@@ -164,6 +164,19 @@ class TestRunCommand:
         assert not out.exists()
         err = capsys.readouterr().err
         assert err.startswith("numerical guard: ") and err.count("\n") == 1
+
+    def test_huge_drive_closed_form_matches_spectral(self, tmp_path):
+        # Delta_n is about 1e300 here, so Delta_n^2 would overflow
+        values = []
+        for method in ("closed-form", "spectral"):
+            out = tmp_path / f"{method}.csv"
+            code = main(run_args("--method", method, "--epsilon", "1e150",
+                                 "--steps", "3", "--out", str(out)))
+            assert code == EXIT_OK
+            _, rows = read_csv(out)
+            values.append(np.array([float(r[1]) for r in rows]))
+        assert np.all(np.isfinite(values))
+        assert np.max(np.abs(values[0] - values[1])) <= 1e-12
 
     def test_poisson_window_budget_exit_code(self, tmp_path):
         # gamma * tmax = 1e8 needs a window of about 1.6e5 kicks
@@ -330,3 +343,17 @@ class TestValidateCommand:
         assert main(["validate"]) == EXIT_VALIDATION
         out = capsys.readouterr().out
         assert "FAIL propagator-vs-dense-exponential" in out
+
+    def test_closed_form_check_is_independent(self, capsys, monkeypatch):
+        # a fault in the shared series evaluator must not cancel out of the
+        # closed-form check, so its state side may not use that evaluator
+        original = dynamics.folded_series
+
+        def shifted(*args, **kwargs):
+            return original(*args, **kwargs) + 1e-6
+
+        monkeypatch.setattr(dynamics, "folded_series", shifted)
+        monkeypatch.setattr(observables, "folded_series", shifted)
+        assert main(["validate"]) == EXIT_VALIDATION
+        out = capsys.readouterr().out
+        assert "FAIL closed-form-vs-state-evolution" in out

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from milburnsim import dynamics
 from milburnsim.dynamics import (
@@ -13,6 +15,7 @@ from milburnsim.dynamics import (
     core_propagator,
     effective_propagator,
     first_order_factor,
+    folded_series,
     lindblad_first_order_evolve,
     milburn_factor,
     milburn_poisson_evolve,
@@ -431,16 +434,74 @@ class TestSeriesKernel:
         rho_e = prop.vectors.conj().T @ rho0 @ prop.vectors
         x_e = prop.vectors.conj().T @ x_op @ prop.vectors
         times = np.linspace(0.0, 3.0, 11)
+        j, k = np.triu_indices(2 * p.dcut, 1)
         cases = ((x_op, rho_e * x_e.T, prop.decay_factors),
                  (None, np.abs(rho_e) ** 2,
                   lambda t: np.abs(prop.decay_factors(t)) ** 2))
         for op, weights, factors in cases:
-            keep, dropped = prune_weights(weights)
+            # folded weights 2 w_jk for j < k; the diagonal is never dropped
+            folded = 2.0 * weights[j, k]
+            keep, dropped = prune_weights(folded)
             assert 0.0 < dropped <= DROP_BUDGET == 1e-14
-            lost = np.delete(weights.ravel(), keep)
+            lost = np.delete(folded, keep)
             assert np.sum(np.abs(lost)) == pytest.approx(dropped, rel=1e-12)
-            # every factor has modulus <= 1, so the unpruned sum differs
-            # from the kernel by at most the dropped weight
+            assert prop.folded_weights(rho0, op)[3] == dropped
+            # |Re(2 w_jk F)| <= 2 |w_jk| for every factor, so the unpruned
+            # sum differs from the kernel by at most the dropped weight
             full = [np.sum(weights * factors(t)) for t in times]
             series = prop.expectation_series(rho0, op, times)
             assert np.max(np.abs(series - full)) <= dropped + 1e-14
+
+
+@st.composite
+def hermitian_series_cases(draw):
+    """A random Hermitian h, density matrix and unit-norm Hermitian
+    observable of dimension <= 12, a gamma and a short time grid."""
+    dim = draw(st.integers(min_value=2, max_value=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gaussian():
+        return (rng.standard_normal((dim, dim))
+                + 1j * rng.standard_normal((dim, dim)))
+
+    def hermitian():
+        m = gaussian()
+        return 0.5 * (m + m.conj().T)
+
+    h = hermitian() * draw(st.floats(min_value=0.1, max_value=10.0))
+    a = gaussian()
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    op = hermitian()
+    op /= np.linalg.norm(op, 2)
+    gamma = draw(st.floats(min_value=0.5, max_value=1e3))
+    times = np.sort(draw(st.lists(st.floats(min_value=0.0, max_value=3.0),
+                                  min_size=1, max_size=6, unique=True)))
+    return h, rho, op, gamma, times
+
+
+class TestFoldedSeries:
+    """The Hermitian-folded, real-valued evaluator against the plain
+    complex sum over all eigenpairs."""
+
+    @given(hermitian_series_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_unfolded_sum(self, case):
+        h, rho, op, gamma, times = case
+        prop = SpectralPropagator(h=h, gamma=gamma)
+        rho_e = prop.vectors.conj().T @ rho @ prop.vectors
+        op_e = prop.vectors.conj().T @ op @ prop.vectors
+        omega = (prop.energies[:, None] - prop.energies[None, :]).ravel()
+        for factor in (milburn_factor, poisson_factor, first_order_factor,
+                       unitary_factor):
+            f = factor(omega, times[:, None], gamma)
+            for obs, full in ((op, f @ (rho_e * op_e.T).ravel()),
+                              (None, np.abs(f) ** 2 @ np.abs(rho_e).ravel() ** 2)):
+                constant, weights, freqs, dropped = prop.folded_weights(
+                    rho, obs)
+                series = folded_series(constant, weights, freqs, times,
+                                       factor, gamma, squared=obs is None)
+                assert series.dtype == float
+                assert np.max(np.abs(series - full)) <= dropped + 1e-14
+                np.testing.assert_array_equal(
+                    prop.expectation_series(rho, obs, times, factor), series)
