@@ -5,14 +5,15 @@ Subcommands:
   fig1      emit the three reference collapse/revival curves
   validate  cross-route consistency battery at reduced sizes
 
-Exit codes: 0 success, 2 invalid configuration, 3 numerical guard
-violated (cutoff / window), 4 validation mismatch.
+Exit codes, all set in main: 0 success, 2 invalid configuration or
+unwritable output, 3 numerical guard violated, 4 validation mismatch.
 """
 
 import argparse
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,28 +249,13 @@ def _config_comments(cfg: RunConfig):
 
 
 def cmd_run(args):
-    try:
-        cfg = build_run_config(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        # overflow shows up as non-finite values, refused below
-        with np.errstate(over="ignore", invalid="ignore"):
-            times, cols = compute_series(cfg)
-    except (TruncationError, CutoffTooSmallError, WindowBudgetError) as e:
-        print(f"numerical guard: {e}", file=sys.stderr)
-        return EXIT_GUARD
+    cfg = build_run_config(args)
+    # overflow shows up as non-finite values, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        times, cols = compute_series(cfg)
     if not all(np.isfinite(col).all() for col in cols):
-        print("numerical guard: the computed series has non-finite values",
-              file=sys.stderr)
-        return EXIT_GUARD
-    try:
-        write_csv(cfg.out, times, cols, cfg.observables,
-                  _config_comments(cfg))
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise FloatingPointError("the computed series has non-finite values")
+    write_csv(cfg.out, times, cols, cfg.observables, _config_comments(cfg))
     return EXIT_OK
 
 
@@ -283,23 +269,14 @@ FIG1_REVIVAL_WINDOW = (2.9, 3.4)
 
 
 def cmd_fig1(args):
-    try:
-        _write_fig1(args.out_dir)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    return EXIT_OK
-
-
-def _write_fig1(out_dir):
     """The three reference curves and their metrics sidecar."""
-    os.makedirs(out_dir, exist_ok=True)
+    os.makedirs(args.out_dir, exist_ok=True)
     times = np.linspace(0.0, 12.0, 2400)
     metrics_rows = []
     for label, overrides in FIG1_SETS.items():
         p = SystemParams(lam=1.0, delta=2.0, alpha=2.5, dcut=64, **overrides)
         values = sigma_x_closed_form(p, times)
-        path = os.path.join(out_dir, f"fig1{label}.csv")
+        path = os.path.join(args.out_dir, f"fig1{label}.csv")
         write_csv(path, times, [values], ("sigma_x",), [
             "milburnsim reference curve " + label,
             f"epsilon = {overrides['epsilon']:g}, gamma = {overrides['gamma']:g}",
@@ -311,12 +288,13 @@ def _write_fig1(out_dir):
         metrics_rows.append((label, m))
         print(f"wrote {path}")
 
-    metrics_path = os.path.join(out_dir, "fig1_metrics.csv")
+    metrics_path = os.path.join(args.out_dir, "fig1_metrics.csv")
     _write_atomic(metrics_path, [
         "series,revival_peak,revival_time,collapse_floor\n",
         *(f"{label},{m.revival_peak:.15f},{m.revival_time:.15f},"
           f"{m.collapse_floor:.15f}\n" for label, m in metrics_rows)])
     print(f"wrote {metrics_path}")
+    return EXIT_OK
 
 
 def _validation_checks():
@@ -406,8 +384,24 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand; the only place a failure becomes an exit code
+    and a stderr line.  Warnings that pass the active filters are
+    printed once per distinct message."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code, failure = args.func(args), None
+        except (ConfigError, OSError) as e:
+            code, failure = EXIT_CONFIG, f"error: {e}"
+        except (TruncationError, CutoffTooSmallError, WindowBudgetError,
+                FloatingPointError, MemoryError) as e:
+            reason = str(e) or type(e).__name__  # a bare MemoryError
+            code, failure = EXIT_GUARD, f"numerical guard: {reason}"
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    if failure:
+        print(failure, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

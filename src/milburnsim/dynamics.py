@@ -27,10 +27,12 @@ from .fock import atom_field, displacement, matrix_exponential, poisson_pmf
 from .params import SystemParams, derived_params
 
 
+POISSON_MAX_TERMS = 100_000  # kick counts a Poisson window may hold
+
+
 @dataclass(frozen=True)
 class MilburnConfig:
     gamma: float
-    max_terms: int = 100_000
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -43,7 +45,6 @@ class TimeSeries:
 
     times: np.ndarray
     values: np.ndarray
-    label: str = "value"
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -123,7 +124,7 @@ def schrodinger_evolve(rho0, h, t):
     return u @ rho0 @ u.conj().T
 
 
-def poisson_window(mean, max_terms):
+def poisson_window(mean):
     """Central window of kick counts m of Poisson(mean), 8 standard
     deviations (of mean + 1) to either side.
 
@@ -132,23 +133,25 @@ def poisson_window(mean, max_terms):
     falls below 1e-12 from a mean of about 43 on and tends to the
     two-sided 8 sigma Gaussian tail, 1.2e-15, for large means.
     """
-    k = 8.0
-    half = k * math.sqrt(mean + 1.0)
+    half = 8.0 * math.sqrt(mean + 1.0)
     m_lo = max(0, int(math.floor(mean - half)))
     m_hi = int(math.ceil(mean + half))
-    if m_hi - m_lo + 1 > max_terms:
+    # unrounded too: at a huge mean, half is lost in mean +- half
+    terms = max(2.0 * half + 1.0, m_hi - m_lo + 1)
+    if terms > POISSON_MAX_TERMS:
         raise WindowBudgetError(
-            f"Poisson window [{m_lo}, {m_hi}] exceeds {max_terms} terms; "
+            f"Poisson window of {terms:.6g} kick counts at mean {mean:.6g} "
+            f"exceeds {POISSON_MAX_TERMS} terms; "
             "use the spectral route for large gamma*t"
         )
     return m_lo, m_hi
 
 
-def _kick_weights(t, cfg: MilburnConfig):
+def _kick_weights(t, gamma):
     """Kick counts in the Poisson window at time t and their
     probabilities, renormalized over the window."""
-    mean = cfg.gamma * t
-    m_lo, m_hi = poisson_window(mean, cfg.max_terms)
+    mean = gamma * t
+    m_lo, m_hi = poisson_window(mean)
     kicks = np.arange(m_lo, m_hi + 1)
     weights = poisson_pmf(kicks, mean)
     return kicks, weights / weights.sum()
@@ -165,7 +168,7 @@ def milburn_poisson_evolve(rho0, h, t, cfg: MilburnConfig):
     rho0 = np.asarray(rho0, dtype=complex)
     if t == 0:
         return rho0.copy()
-    kicks, weights = _kick_weights(t, cfg)
+    kicks, weights = _kick_weights(t, cfg.gamma)
 
     u1 = matrix_exponential(-1j * np.asarray(h, dtype=complex) / cfg.gamma)
     u_lo = np.linalg.matrix_power(u1, kicks[0])
@@ -221,15 +224,13 @@ unitary_factor = ExponentialFactor(unitary_exponent)
 
 def poisson_factor(omega, t, gamma):
     """The kick sum sum_m p_m(gamma t) e^{-i m w/gamma} over the same
-    renormalized window as milburn_poisson_evolve with
-    MilburnConfig(gamma=gamma); raises WindowBudgetError where that
-    route would."""
-    cfg = MilburnConfig(gamma=gamma)
+    renormalized window as milburn_poisson_evolve; raises
+    WindowBudgetError where that route would."""
     theta = omega / gamma
     chunk = max(1, SERIES_BLOCK // max(1, len(theta)))
     out = np.zeros((np.size(t), len(theta)), dtype=complex)
     for row, ti in zip(out, np.ravel(t)):
-        kicks, weights = _kick_weights(ti, cfg)
+        kicks, weights = _kick_weights(ti, gamma)
         for s in range(0, len(kicks), chunk):
             phases = np.multiply.outer(kicks[s:s + chunk], theta)
             row += weights[s:s + chunk] @ np.exp(-1j * phases)

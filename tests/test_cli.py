@@ -1,8 +1,12 @@
 import errno
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import milburnsim
 from milburnsim import cli, dynamics, observables
 from milburnsim.cli import (
     EXIT_CONFIG,
@@ -154,16 +158,32 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("method", ["closed-form", "spectral"])
-    def test_overflowing_time_writes_nothing(self, tmp_path, capsys, method):
+    @pytest.mark.parametrize("argv, compute_error", [
         # gamma * t overflows, and 0 * inf would print nan rows
+        pytest.param(["--method", "closed-form", "--tmax", "1e308",
+                      "--steps", "3"], None, id="closed-form"),
+        pytest.param(["--method", "spectral", "--tmax", "1e308",
+                      "--steps", "3"], None, id="spectral"),
+        # mean +- half width rounds to a one-term window
+        pytest.param(["--method", "poisson", "--gamma", "1e35",
+                      "--steps", "3"], None, id="poisson-collapsed-window"),
+        pytest.param(["--steps", "3"],
+                     MemoryError("Unable to allocate 7.28 TiB"),
+                     id="out-of-memory"),
+    ])
+    def test_numerical_guard_writes_nothing(self, tmp_path, capsys,
+                                            monkeypatch, argv, compute_error):
+        if compute_error is not None:
+            def compute_series(cfg):
+                raise compute_error
+            monkeypatch.setattr(cli, "compute_series", compute_series)
         out = tmp_path / "x.csv"
-        code = main(run_args("--method", method, "--tmax", "1e308",
-                             "--steps", "3", "--out", str(out)))
+        code = main(run_args(*argv, "--out", str(out)))
         assert code == EXIT_GUARD
-        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []  # no output, no temp file
         err = capsys.readouterr().err
         assert err.startswith("numerical guard: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_huge_drive_closed_form_matches_spectral(self, tmp_path):
         # Delta_n is about 1e300 here, so Delta_n^2 would overflow
@@ -357,3 +377,20 @@ class TestValidateCommand:
         assert main(["validate"]) == EXIT_VALIDATION
         out = capsys.readouterr().out
         assert "FAIL closed-form-vs-state-evolution" in out
+
+
+def test_module_entry_point_validates():
+    # outside pytest's warning filters: the dispersive-validity warning
+    # of validate's delta = 2 parameter sets is printed once, as one line
+    src = os.path.dirname(os.path.dirname(milburnsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-m", "milburnsim", "validate"],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == EXIT_OK
+    lines = proc.stdout.splitlines()
+    assert sum(line.startswith("PASS ") for line in lines) == 5
+    assert "Traceback" not in proc.stderr
+    assert sum(line.startswith("warning: ")
+               for line in proc.stderr.splitlines()) == 1

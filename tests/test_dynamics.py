@@ -200,20 +200,25 @@ class TestMilburnPoisson:
     def test_window_budget_error(self, small_system):
         _, h, rho0 = small_system
         with pytest.raises(WindowBudgetError):
-            milburn_poisson_evolve(rho0, h, 10.0,
-                                   MilburnConfig(gamma=1e6, max_terms=1000))
+            milburn_poisson_evolve(rho0, h, 10.0, MilburnConfig(gamma=1e7))
 
     def test_window_discarded_mass_bound(self):
         from scipy.stats import poisson
 
         means = np.concatenate([np.linspace(0.0, 60.0, 6001),
                                 np.geomspace(60.0, 1e6, 200)])
-        windows = np.array([dynamics.poisson_window(m, 10**7) for m in means])
+        windows = np.array([dynamics.poisson_window(m) for m in means])
         m_lo, m_hi = windows.T
         lost = poisson.cdf(m_lo - 1, means) + poisson.sf(m_hi, means)
         assert lost.max() <= 1e-10
         assert 8e-11 <= lost.max()  # the peak near mean 2.67, window [0, 18]
         assert np.all(lost[means >= 50.0] <= 1e-12)
+
+    def test_window_refused_before_rounding(self):
+        # at this mean the 8 sigma half width is lost in mean +- half, so
+        # the rounded window would collapse to a single kick count
+        with pytest.raises(WindowBudgetError):
+            dynamics.poisson_window(1e36)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
