@@ -193,10 +193,14 @@ def compute_series(cfg: RunConfig):
 
 def _write_atomic(path, chunks):
     """Write the strings of chunks to a new file beside path, then rename
-    it onto path, so that a failure leaves path as it was."""
+    it onto path, so that a failure leaves path as it was.  A failure to
+    create the temporary file is reported against path."""
     tmp = os.path.join(os.path.dirname(path),
                        f".{os.path.basename(path)}.{os.urandom(6).hex()}.tmp")
-    f = open(tmp, "x", newline="")
+    try:
+        f = open(tmp, "x", newline="")
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, os.fspath(path)) from e
     try:
         with f:
             for chunk in chunks:

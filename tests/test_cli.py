@@ -1,4 +1,5 @@
 import errno
+import json
 import os
 import subprocess
 import sys
@@ -212,7 +213,10 @@ class TestRunCommand:
         code = main(run_args("--steps", "5", "--out", str(out)))
         assert code == EXIT_CONFIG
         assert not out.exists()
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert repr(str(out)) in err and ".tmp" not in err
+        assert not out.parent.exists()
 
     def test_failed_write_keeps_previous_output(self, tmp_path, monkeypatch,
                                                 capsys):
@@ -394,3 +398,27 @@ def test_module_entry_point_validates():
     assert "Traceback" not in proc.stderr
     assert sum(line.startswith("warning: ")
                for line in proc.stderr.splitlines()) == 1
+
+
+def test_run_leaves_scipy_unimported(tmp_path):
+    # scipy serves only validate and the oracle helpers; every run method
+    # must work in a fresh interpreter without importing it
+    src = os.path.dirname(os.path.dirname(milburnsim.__file__))
+    child = (
+        "import json, sys\n"
+        "from milburnsim.cli import METHODS, main\n"
+        "codes = {m: main(['run', '--method', m, '--cutoff', '16', "
+        "'--alpha', '1', '--steps', '5', '--out', sys.argv[1]]) "
+        "for m in METHODS}\n"
+        "scipy = [k for k in sys.modules "
+        "if k == 'scipy' or k.startswith('scipy.')]\n"
+        "print(json.dumps([codes, scipy]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child, str(tmp_path / "r.csv")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    codes, scipy = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == dict.fromkeys(cli.METHODS, EXIT_OK)
+    assert scipy == []

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,9 +20,12 @@ from milburnsim.fock import (
     displacement,
     expectation,
     identity_field,
+    log_factorial,
     matrix_exponential,
     number,
+    poisson_pmf,
 )
+from milburnsim.dynamics import poisson_window
 
 
 class TestLadderOperators:
@@ -93,6 +98,18 @@ class TestDisplacement:
         with pytest.raises(TruncationError):
             displacement(3.0, 8)
 
+    @pytest.mark.parametrize("dcut", [16, 64, 256])
+    @pytest.mark.parametrize("beta", [0.1, 1.25, 0.5 + 0.3j])
+    def test_matches_pade_exponential(self, dcut, beta):
+        from scipy.linalg import expm
+
+        a = annihilation(dcut)
+        d = displacement(beta, dcut)
+        oracle = expm(beta * a.conj().T - np.conjugate(beta) * a)
+        assert np.max(np.abs(d - oracle)) <= 1e-13
+        assert np.max(np.abs(d.conj().T @ d - np.eye(dcut))) <= 1e-13
+        assert isinstance(beta, complex) or not d.imag.any()
+
 
 class TestCoherentState:
     def test_vacuum(self):
@@ -130,6 +147,29 @@ class TestCoherentState:
 
         np.testing.assert_allclose(np.abs(psi) ** 2,
                                    poisson.pmf(n, mod**2), atol=1e-12)
+
+
+class TestPoisson:
+    def test_log_factorial_matches_gammaln(self):
+        from scipy.special import gammaln
+
+        m = np.unique(np.r_[np.arange(5001), [63, 64, 65],
+                            np.logspace(0, 7, 400).astype(np.int64)])
+        exact = gammaln(m + 1.0)
+        gap = np.abs(log_factorial(m) - exact)
+        assert np.all(gap <= 4 * np.spacing(exact))
+
+    @pytest.mark.parametrize("mean", [0.0, 1e-3, 0.5, 2.67, 50.0, 100.0, 1e4])
+    def test_pmf_matches_scipy_over_window(self, mean):
+        # mean 0 must not evaluate log(0): no warning may be raised
+        from scipy.stats import poisson
+
+        m_lo, m_hi = poisson_window(mean)
+        m = np.arange(m_lo, m_hi + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = poisson_pmf(m, mean)
+        assert np.max(np.abs(p - poisson.pmf(m, mean))) <= 1e-13
 
 
 class TestJointOperators:
