@@ -26,7 +26,7 @@ from milburnsim.params import SystemParams, derived_params
 
 def report(dcut=16, subblock=8):
     p = SystemParams(lam=1.0, epsilon=0.5, delta=2.0, gamma=1e3,
-                     alpha=2.5, dcut=dcut)
+                     alpha=1.0, dcut=dcut)
     d = derived_params(p)
     h_int = interaction_hamiltonian(p)
     h_exp = effective_hamiltonian(p)

@@ -36,7 +36,6 @@ from .fock import (
     SIGMA_X,
     SIGMA_Z,
     CutoffTooSmallError,
-    TruncationError,
     atom_field,
     identity_field,
     matrix_exponential,
@@ -397,8 +396,8 @@ def main(argv=None):
             code, failure = args.func(args), None
         except (ConfigError, OSError) as e:
             code, failure = EXIT_CONFIG, f"error: {e}"
-        except (TruncationError, CutoffTooSmallError, WindowBudgetError,
-                FloatingPointError, MemoryError) as e:
+        except (CutoffTooSmallError, WindowBudgetError, FloatingPointError,
+                MemoryError) as e:
             reason = str(e) or type(e).__name__  # a bare MemoryError
             code, failure = EXIT_GUARD, f"numerical guard: {reason}"
     for message in dict.fromkeys(str(w.message) for w in caught):

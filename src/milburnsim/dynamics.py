@@ -23,11 +23,13 @@ from typing import Callable
 
 import numpy as np
 
-from .fock import atom_field, displacement, matrix_exponential, poisson_pmf
+from .fock import matrix_exponential, poisson_pmf
+from .hamiltonians import displaced_frame
 from .params import SystemParams, derived_params
 
 
 POISSON_MAX_TERMS = 100_000  # kick counts a Poisson window may hold
+HERMITIAN_TOL = 1e-9  # max |h - h^dag| a Hamiltonian may have
 
 
 @dataclass(frozen=True)
@@ -107,13 +109,12 @@ def effective_propagator(t, p: SystemParams):
     Conjugation order matches the displaced Hamiltonian construction, so
     this equals exp(-i H t) for that Hamiltonian.
     """
-    d = derived_params(p)
-    disp = atom_field(np.eye(2), displacement(d.beta, p.dcut))
+    disp = displaced_frame(p)
     return disp @ core_propagator(t, p) @ disp.conj().T
 
 
-def _check_hermitian(h, tol=1e-9):
-    if np.max(np.abs(h - h.conj().T)) > tol:
+def _check_hermitian(h):
+    if np.max(np.abs(h - h.conj().T)) > HERMITIAN_TOL:
         raise ValueError("Hamiltonian must be Hermitian")
 
 

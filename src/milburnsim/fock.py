@@ -11,12 +11,8 @@ import math
 import numpy as np
 
 
-class TruncationError(ValueError):
-    """Requested operation would push weight past the Fock cutoff."""
-
-
 class CutoffTooSmallError(ValueError):
-    """Coherent-state tail mass beyond the cutoff exceeds tolerance."""
+    """Photon-number tail mass beyond the cutoff exceeds tolerance."""
 
 
 # 2x2 atomic operators, basis (|e>, |g>)
@@ -25,7 +21,7 @@ SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)   # |e><g|
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |g><e|
 SIGMA_X = SIGMA_PLUS + SIGMA_MINUS
 
-COHERENT_TAIL_TOL = 1e-12
+COHERENT_TAIL_TOL = 1e-12  # photon-number mass a cutoff may leave out
 
 # ln m! for m < 64 from math.lgamma; the Stirling series takes over above
 _LOG_FACTORIAL_TABLE = np.array([math.lgamma(m + 1.0) for m in range(64)])
@@ -59,26 +55,16 @@ def identity_field(dcut):
     return np.eye(dcut, dtype=complex)
 
 
-def check_displacement_guard(beta, dcut):
-    """Truncation guard for displacing by beta: |beta|^2 + 6|beta| < dcut."""
-    b = abs(beta)
-    if not np.isfinite(b):
-        raise ValueError("displacement amplitude must be finite")
-    if b * b + 6.0 * b >= dcut:
-        raise TruncationError(
-            f"displacement beta={beta} too large for cutoff {dcut}: "
-            f"need |beta|^2 + 6|beta| < dcut"
-        )
-
-
 def displacement(beta, dcut):
     """Glauber displacement D(beta) = exp(G), G = beta a^dag - beta* a,
-    truncated.  G is anti-Hermitian, so with iG = V diag(e) V^dag (eigh)
+    truncated: the exact exponential of the truncated generator for any
+    finite beta.  G is anti-Hermitian, so with iG = V diag(e) V^dag (eigh)
     D = V diag(exp(-i e)) V^dag.  A real beta gives a real G and an
     exactly real D, as Pade expm does: the series kernel then keeps real
     weights and skips their sine term."""
     _check_cutoff(dcut)
-    check_displacement_guard(beta, dcut)
+    if not np.isfinite(beta):
+        raise ValueError("displacement amplitude must be finite")
     a = annihilation(dcut)
     e, v = np.linalg.eigh(1j * (beta * a.conj().T - np.conjugate(beta) * a))
     d = (v * np.exp(-1j * e)) @ v.conj().T
@@ -87,26 +73,27 @@ def displacement(beta, dcut):
     return d
 
 
-def coherent_state(alpha, dcut):
-    """Coherent state |alpha> on the truncated basis, renormalized.
-
-    Rejects cutoffs that leave more than COHERENT_TAIL_TOL of the Poisson
-    photon distribution beyond dcut-1.
-    """
+def photon_weights(mean, dcut):
+    """Poisson photon-number weights of a coherent state, n = 0..dcut-1.
+    The one truncation rule: CutoffTooSmallError when the mass beyond
+    dcut-1 exceeds COHERENT_TAIL_TOL, ValueError for a non-finite mean."""
     _check_cutoff(dcut)
-    n = np.arange(dcut)
-    # log-space for large |alpha|; amplitudes e^{-|a|^2/2} a^n / sqrt(n!)
-    mean = abs(alpha) ** 2
-    log_mod = -0.5 * mean + n * np.log(abs(alpha)) - 0.5 * log_factorial(n) \
-        if alpha != 0 else np.concatenate(([0.0], np.full(dcut - 1, -np.inf)))
-    phase = np.exp(1j * n * np.angle(alpha)) if alpha != 0 else np.ones(dcut)
-    amps = np.exp(log_mod) * phase
-    tail = 1.0 - np.sum(np.abs(amps) ** 2)
+    if not np.isfinite(mean):
+        raise ValueError(f"mean photon number must be finite, got {mean}")
+    weights = poisson_pmf(np.arange(dcut), mean)
+    tail = 1.0 - weights.sum()
     if tail > COHERENT_TAIL_TOL:
         raise CutoffTooSmallError(
-            f"coherent state alpha={alpha} has tail mass {tail:.3e} beyond "
-            f"cutoff {dcut}; increase the cutoff"
-        )
+            f"a coherent state of mean photon number {mean:.6g} leaves tail "
+            f"mass {tail:.3e} beyond cutoff {dcut}; increase the cutoff")
+    return weights
+
+
+def coherent_state(alpha, dcut):
+    """Coherent state |alpha> on the truncated basis, renormalized:
+    amplitudes sqrt(photon_weights(|alpha|^2, dcut)) e^{i n arg alpha}."""
+    amps = np.sqrt(photon_weights(abs(alpha) ** 2, dcut)) \
+        * np.exp(1j * np.arange(dcut) * np.angle(alpha))
     return amps / np.linalg.norm(amps)
 
 

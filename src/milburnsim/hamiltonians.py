@@ -21,6 +21,7 @@ from .fock import (
     identity_field,
     matrix_exponential,
     number,
+    photon_weights,
 )
 from .params import SystemParams, derived_params, warn_if_not_dispersive
 
@@ -70,13 +71,24 @@ def effective_core(p: SystemParams):
     return h
 
 
+def displaced_frame(p: SystemParams):
+    """The joint displacement I (x) D(beta) into the frame of the core.
+
+    The core conserves photon number, so the field's photon distribution
+    there is that of |alpha - beta> at every time; refuses a cutoff that
+    it does not fit (fock.photon_weights).
+    """
+    d = derived_params(p)
+    photon_weights(abs(p.alpha - d.beta) ** 2, p.dcut)
+    return atom_field(np.eye(2), displacement(d.beta, p.dcut))
+
+
 def effective_hamiltonian_displaced(p: SystemParams):
     """D(beta) {sz [chi N + delta_tilde] + eps s+ + eps* s-} D^dag(beta),
     with the displacement acting on the field factor only.  Returns the
     Hermitian part, which drops the rounding skew of the products."""
     warn_if_not_dispersive(p)
-    d = derived_params(p)
-    disp = atom_field(np.eye(2), displacement(d.beta, p.dcut))
+    disp = displaced_frame(p)
     h = disp @ effective_core(p) @ disp.conj().T
     return 0.5 * (h + h.conj().T)
 

@@ -6,21 +6,17 @@ import numpy as np
 from .fock import (
     SIGMA_X,
     SIGMA_Z,
-    CutoffTooSmallError,
     atom_field,
     coherent_state,
     density_from_state,
     expectation,
     identity_field,
-    poisson_pmf,
+    photon_weights,
 )
-from .params import SystemParams, derived_params
+from .params import SystemParams, derived_params, warn_if_not_dispersive
 from .dynamics import (
     TimeSeries, folded_series, milburn_factor, prune_weights, rabi_blocks)
 from dataclasses import dataclass
-
-
-POISSON_TAIL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -37,21 +33,11 @@ def initial_density(p: SystemParams):
     return density_from_state(np.kron(atom, field))
 
 
-def _poisson_weights(mean, n_max):
-    w = poisson_pmf(np.arange(n_max), mean)
-    tail = 1.0 - w.sum()
-    if tail > POISSON_TAIL_TOL:
-        raise CutoffTooSmallError(
-            f"photon-number series truncated at {n_max} leaves tail mass "
-            f"{tail:.3e}; increase the cutoff"
-        )
-    return w
-
-
 def sigma_x_closed_form(p: SystemParams, t):
     """Closed-form atomic polarization <sigma_x>(t).
 
-    Poisson-weighted sum over photon-number blocks: block n contributes
+    Sum over the photon-number blocks of the displaced frame, weighted by
+    photon_weights(|alpha - beta|^2, dcut): block n contributes
     (|eps|^2 + Re F(2 Omega_n, t) Delta_n^2) / Omega_n^2 with Milburn's
     factor F, evaluated by dynamics.folded_series.  Vectorized over t.  A
     block with vanishing Rabi frequency does not evolve and contributes
@@ -63,9 +49,10 @@ def sigma_x_closed_form(p: SystemParams, t):
     the value at t = 0 is unchanged and the result deviates from the
     unpruned sum by at most 2 * DROP_BUDGET.
     """
+    warn_if_not_dispersive(p)
     d = derived_params(p)
     t = np.asarray(t, dtype=float)
-    weights = _poisson_weights(abs(p.alpha - d.beta) ** 2, p.dcut)
+    weights = photon_weights(abs(p.alpha - d.beta) ** 2, p.dcut)
     detuned, omega = rabi_blocks(p, np.arange(p.dcut))
 
     # prune the evolving blocks; rescale the kept ones to their full mass

@@ -311,6 +311,43 @@ class TestRunCommand:
             any("extension" in ln for ln in text.splitlines() if ln.startswith("#"))
 
 
+class TestTruncationRule:
+    COMMON = ("--epsilon", "0.5", "--gamma", "1000", "--tmax", "2",
+              "--steps", "20")
+
+    @pytest.mark.parametrize("method", list(cli.METHODS))
+    def test_displaced_state_beyond_cutoff(self, tmp_path, capsys, method):
+        # beta = 5: |alpha> (mean 6.25) fits cutoff 64, but |alpha - beta>
+        # (mean 56.25) leaves a tail of 0.17, and every route except
+        # full-oracle represents it
+        out = tmp_path / "x.csv"
+        code = main(run_args("--method", method, "--lambda", "0.1",
+                             "--alpha", "-2.5", *self.COMMON,
+                             "--out", str(out)))
+        if method == "full-oracle":
+            assert code == EXIT_OK
+            return
+        assert code == EXIT_GUARD
+        assert list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err.splitlines()
+        assert sum(line.startswith("numerical guard: ") for line in err) == 1
+
+    def test_large_displacement_within_cutoff(self, tmp_path):
+        # beta = 6.25 is large for cutoff 64, but |alpha> and
+        # |alpha - beta> both have mean 9.77 and fit it
+        values = {}
+        for method in cli.METHODS:
+            out = tmp_path / f"{method}.csv"
+            assert main(run_args("--method", method, "--lambda", "0.08",
+                                 "--alpha", "3.125", *self.COMMON,
+                                 "--out", str(out))) == EXIT_OK
+            _, rows = read_csv(out)
+            values[method] = np.array([float(r[1]) for r in rows])
+        for method in ("spectral", "poisson"):
+            gap = np.max(np.abs(values[method] - values["closed-form"]))
+            assert gap <= 1e-11, method
+
+
 @pytest.fixture(scope="module")
 def fig1_dir(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("fig1")
@@ -395,6 +432,21 @@ def test_module_entry_point_validates():
     assert proc.returncode == EXIT_OK
     lines = proc.stdout.splitlines()
     assert sum(line.startswith("PASS ") for line in lines) == 5
+    assert "Traceback" not in proc.stderr
+    assert sum(line.startswith("warning: ")
+               for line in proc.stderr.splitlines()) == 1
+
+
+def test_closed_form_run_warns_once(tmp_path):
+    # the default delta = 2 set is outside the dispersive regime
+    src = os.path.dirname(os.path.dirname(milburnsim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-m", "milburnsim", "run",
+                           "--steps", "3"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK
+    assert (tmp_path / "series.csv").exists()
     assert "Traceback" not in proc.stderr
     assert sum(line.startswith("warning: ")
                for line in proc.stderr.splitlines()) == 1

@@ -11,7 +11,6 @@ from milburnsim.fock import (
     SIGMA_X,
     SIGMA_Z,
     CutoffTooSmallError,
-    TruncationError,
     annihilation,
     atom_field,
     coherent_state,
@@ -94,12 +93,12 @@ class TestDisplacement:
         gap = d.conj().T @ d - np.eye(dcut)
         assert np.max(np.abs(gap[:16, :16])) <= 1e-10
 
-    def test_guard_rejects_large_amplitude(self):
-        with pytest.raises(TruncationError):
-            displacement(3.0, 8)
-
-    @pytest.mark.parametrize("dcut", [16, 64, 256])
-    @pytest.mark.parametrize("beta", [0.1, 1.25, 0.5 + 0.3j])
+    # the last case is a displacement far beyond what its cutoff holds:
+    # still the exact, unitary exponential of the truncated generator
+    @pytest.mark.parametrize("beta, dcut", [
+        *((beta, dcut) for dcut in (16, 64, 256)
+          for beta in (0.1, 1.25, 0.5 + 0.3j)),
+        (3.0, 8)])
     def test_matches_pade_exponential(self, dcut, beta):
         from scipy.linalg import expm
 
@@ -134,6 +133,12 @@ class TestCoherentState:
     def test_cutoff_too_small(self):
         with pytest.raises(CutoffTooSmallError):
             coherent_state(2.5, 8)
+
+    @pytest.mark.parametrize("alpha", [float("inf"), float("nan"),
+                                       complex(1.0, float("nan"))])
+    def test_rejects_non_finite_amplitude(self, alpha):
+        with pytest.raises(ValueError, match="must be finite"):
+            coherent_state(alpha, 4)
 
     @given(st.floats(min_value=0.1, max_value=2.5),
            st.floats(min_value=-np.pi, max_value=np.pi))

@@ -20,7 +20,8 @@ from milburnsim.observables import (
     sigma_x_closed_form,
     sigma_x_from_state,
 )
-from milburnsim.params import SystemParams, derived_params
+from milburnsim.params import (
+    DispersiveValidityWarning, SystemParams, derived_params)
 
 
 def spectral_sigma_x_series(p, times):
@@ -77,6 +78,11 @@ class TestClosedForm:
                          alpha=2.5, dcut=8)
         with pytest.raises(ValueError):
             sigma_x_closed_form(p, 0.5)
+
+    def test_warns_outside_dispersive_regime(self, fig1b):
+        # delta = 2 lambda, like the spectral route's Hamiltonian
+        with pytest.warns(DispersiveValidityWarning):
+            sigma_x_closed_form(fig1b, 0.5)
 
     def test_frozen_block_counts_fully(self):
         # chi = -1, delta_tilde = 2 freezes the n = 2 block; t = 0 still sums to 1
