@@ -36,6 +36,7 @@ from .dynamics import (
 from .observables import (
     RevivalMetrics,
     initial_density,
+    closed_form_series,
     sigma_x_closed_form,
     sigma_x_from_state,
     atomic_inversion,

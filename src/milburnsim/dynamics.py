@@ -3,13 +3,13 @@
 Routes:
   * analytic per-photon-number 2x2 propagator blocks and their
     block-diagonal assembly (exact for the effective Hamiltonian);
-  * the series kernel SpectralPropagator.expectation_series: every
-    density-matrix route is diagonal in the eigenbasis of H, so an
-    observable's time series is one eigendecomposition plus one scalar
-    factor per eigenfrequency (Milburn's, the windowed Poisson kick sum,
-    the first-order master equation's, or the unitary phase), folded
-    onto half the eigenpairs and summed in real arithmetic by
-    folded_series, which the closed form shares;
+  * the series kernel: every density-matrix route is diagonal in the
+    eigenbasis of H, so an observable's time series is one scalar factor
+    per eigenfrequency (Milburn's, the windowed Poisson kick sum, the
+    first-order master equation's, or the unitary phase) on weights that
+    folded_pair_weights folds onto half the eigenpairs, summed in real
+    arithmetic by folded_series.  SpectralPropagator takes the
+    eigenbasis from a dense eigh, the closed form from the 2x2 blocks;
   * state-level routes kept as independent references for that kernel:
     exact intrinsic-decoherence evolution as a Poisson-weighted sum of
     repeated unitary kicks or in spectral closed form, a fixed-step RK4
@@ -23,9 +23,9 @@ from typing import Callable
 
 import numpy as np
 
-from .fock import matrix_exponential, poisson_pmf
-from .hamiltonians import displaced_frame
-from .params import SystemParams, derived_params
+from .fock import block_diagonal, matrix_exponential, poisson_pmf
+from .hamiltonians import displaced_frame, effective_core_blocks, rabi_blocks
+from .params import SystemParams
 
 
 POISSON_MAX_TERMS = 100_000  # kick counts a Poisson window may hold
@@ -61,46 +61,20 @@ class WindowBudgetError(RuntimeError):
     """Poisson window exceeds the term budget; use the spectral route."""
 
 
-def rabi_blocks(p: SystemParams, n):
-    """Detuning Delta_n = chi n + delta_tilde and Rabi frequency
-    Omega_n = hypot(Delta_n, |epsilon|) of the photon-number blocks
-    h_n = [[Delta_n, epsilon], [epsilon*, -Delta_n]] of the undisplaced
-    core, for array-like n >= 0.
-
-    Omega_n is exactly 0.0 in the degenerate case epsilon = 0 and
-    Delta_n = 0.
-    """
-    n = np.asarray(n)
-    if np.any(n < 0):
-        raise ValueError(f"photon number must be >= 0, got {n.min()}")
-    d = derived_params(p)
-    detuned = d.chi * n + d.delta_tilde
-    return detuned, np.hypot(detuned, abs(p.epsilon))
-
-
 def block_propagators(t, p: SystemParams):
     """The (dcut, 2, 2) array of analytic block propagators
-    exp(-i t h_n) for n = 0 .. dcut-1."""
-    detuned, omega = rabi_blocks(p, np.arange(p.dcut))
-    cos_t = np.cos(omega * t)
+    exp(-i t h_n) = cos(Omega_n t) - i h_n sin(Omega_n t)/Omega_n for
+    n = 0 .. dcut-1, since h_n^2 = Omega_n^2."""
+    _, omega = rabi_blocks(p, np.arange(p.dcut))
     # sin(omega t)/omega -> t as omega -> 0
     sinc_t = t * np.sinc(omega * t / math.pi)
-    blocks = np.empty((p.dcut, 2, 2), dtype=complex)
-    blocks[:, 0, 0] = cos_t - 1j * detuned * sinc_t
-    blocks[:, 0, 1] = -1j * p.epsilon * sinc_t
-    blocks[:, 1, 0] = -1j * np.conjugate(p.epsilon) * sinc_t
-    blocks[:, 1, 1] = cos_t + 1j * detuned * sinc_t
-    return blocks
+    return (np.cos(omega * t)[:, None, None] * np.eye(2)
+            - 1j * sinc_t[:, None, None] * effective_core_blocks(p))
 
 
 def core_propagator(t, p: SystemParams):
-    """Block-diagonal propagator of the undisplaced core: block n of
-    block_propagators placed at rows and columns (n, n + dcut), the
-    atom-major layout."""
-    n = np.arange(p.dcut)
-    u = np.zeros((2, p.dcut, 2, p.dcut), dtype=complex)
-    u[:, n, :, n] = block_propagators(t, p)
-    return u.reshape(2 * p.dcut, 2 * p.dcut)
+    """Propagator of the undisplaced core: block_propagators assembled."""
+    return block_diagonal(block_propagators(t, p))
 
 
 def effective_propagator(t, p: SystemParams):
@@ -243,8 +217,7 @@ def prune_weights(weights):
     DROP_BUDGET.
 
     Returns the flat indices of the kept weights, in ascending order, and
-    the dropped sum.  Every route's factor has |F| <= 1, so the dropped
-    sum bounds the error of the pruned series.
+    the dropped sum.
     """
     modulus = np.abs(weights).ravel()
     order = np.argsort(modulus, kind="stable")
@@ -252,6 +225,22 @@ def prune_weights(weights):
     n_drop = int(np.searchsorted(cumulative, DROP_BUDGET, side="right"))
     dropped = float(cumulative[n_drop - 1]) if n_drop else 0.0
     return np.sort(order[n_drop:]), dropped
+
+
+def folded_pair_weights(diagonal, pairs, omega):
+    """Fold the series of Tr(rho(t) op) onto the eigenpairs j < k.  Its
+    weights w_jk = rho_e[j,k] op_e[k,j] (the purity: |rho_e[j,k]|^2 with
+    factor |F|^2) have w_kj = conj w_jk, and F(0) = 1, F(-w) = conj F(w),
+    so it is diagonal + Re sum_{j<k} 2 w_jk F(E_j - E_k, t), given the
+    w_jk (pairs) and E_j - E_k (omega) of the pairs that may be nonzero.
+    Pairs that prune_weights drops are frozen at F = 1, their real parts
+    joining the constant: the t = 0 value is kept and, as |F| <= 1, the
+    error is at most twice the dropped sum.  Returns (constant, kept
+    folded weights 2 w_jk, their omega, dropped sum)."""
+    folded = 2.0 * pairs
+    keep, dropped = prune_weights(folded)
+    constant = diagonal + np.delete(folded, keep).real.sum()
+    return float(constant), folded[keep], omega[keep], dropped
 
 
 def folded_series(constant, weights, omega, times, factor, gamma,
@@ -317,30 +306,13 @@ class SpectralPropagator:
         return self.vectors @ rho_e @ self.vectors.conj().T
 
     def folded_weights(self, rho0, op):
-        """The series sum_jk w_jk F(w_jk, t) of Tr(rho(t) op), for
-        Hermitian rho0 and op, folded onto the eigenpairs j < k.
-
-        The weights w_jk = rho_e[j,k] op_e[k,j] in the eigenbasis of h
-        have w_kj = conj w_jk, and every factor has F(0) = 1 and
-        F(-w) = conj F(w), so the series is sum_j w_jj plus
-        Re sum_{j<k} 2 w_jk F(E_j - E_k, t).  ``op=None`` gives the
-        purity: weights |rho_e[j,k]|^2 with factor |F|^2.
-
-        Returns (constant, weights, omega, dropped): sum_j w_jj, the
-        folded weights 2 w_jk kept by prune_weights, their frequencies
-        E_j - E_k and the dropped sum, which bounds the error of the
-        series since |Re(2 w_jk F)| <= 2 |w_jk|.
-        """
+        """folded_pair_weights over every eigenpair of h; op=None: purity."""
         rho_e = self._to_eigenbasis(rho0)
-        if op is None:
-            weights = np.abs(rho_e) ** 2
-        else:
-            weights = rho_e * self._to_eigenbasis(op).T
+        weights = (np.abs(rho_e) ** 2 if op is None
+                   else rho_e * self._to_eigenbasis(op).T)
         j, k = np.triu_indices(len(weights), 1)
-        folded = 2.0 * weights[j, k]
-        keep, dropped = prune_weights(folded)
-        omega = self.energies[j[keep]] - self.energies[k[keep]]
-        return float(np.trace(weights).real), folded[keep], omega, dropped
+        return folded_pair_weights(np.trace(weights).real, weights[j, k],
+                                   self.energies[j] - self.energies[k])
 
     def expectation_series(self, rho0, op, times, factor=milburn_factor):
         """Tr(rho(t) op) on a time grid, ``op=None`` for the purity

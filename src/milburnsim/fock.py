@@ -73,10 +73,10 @@ def displacement(beta, dcut):
     return d
 
 
-def photon_weights(mean, dcut):
+def photon_weights(mean, dcut, state="a coherent state"):
     """Poisson photon-number weights of a coherent state, n = 0..dcut-1.
-    The one truncation rule: CutoffTooSmallError when the mass beyond
-    dcut-1 exceeds COHERENT_TAIL_TOL, ValueError for a non-finite mean."""
+    The one truncation rule: CutoffTooSmallError naming ``state`` when the
+    mass beyond dcut-1 exceeds COHERENT_TAIL_TOL, ValueError if not finite."""
     _check_cutoff(dcut)
     if not np.isfinite(mean):
         raise ValueError(f"mean photon number must be finite, got {mean}")
@@ -84,7 +84,7 @@ def photon_weights(mean, dcut):
     tail = 1.0 - weights.sum()
     if tail > COHERENT_TAIL_TOL:
         raise CutoffTooSmallError(
-            f"a coherent state of mean photon number {mean:.6g} leaves tail "
+            f"{state} of mean photon number {mean:.6g} leaves tail "
             f"mass {tail:.3e} beyond cutoff {dcut}; increase the cutoff")
     return weights
 
@@ -136,6 +136,15 @@ def atom_field(atom_op, field_op):
     return np.kron(atom_op, field_op)
 
 
+def block_diagonal(blocks):
+    """Joint operator of a (dcut, 2, 2) stack of atom blocks, one per photon
+    number: blocks[n, s, s'] at (s dcut + n, s' dcut + n), atom-major."""
+    n = np.arange(len(blocks))
+    out = np.zeros((2, len(n), 2, len(n)), dtype=complex)
+    out[:, n, :, n] = blocks
+    return out.reshape(2 * len(n), 2 * len(n))
+
+
 def matrix_exponential(m):
     """Matrix exponential by Pade scaling-and-squaring (scipy's expm).
 
@@ -155,14 +164,11 @@ def expectation(state, op):
     """<op> for a state vector or a density matrix."""
     state = np.asarray(state, dtype=complex)
     op = np.asarray(op, dtype=complex)
-    if state.ndim == 1:
-        if state.shape[0] != op.shape[0]:
-            raise ValueError(
-                f"dimension mismatch: state {state.shape} vs op {op.shape}")
-        return complex(state.conj() @ op @ state)
-    if state.shape != op.shape:
+    if state.shape != op.shape[:state.ndim]:
         raise ValueError(
             f"dimension mismatch: state {state.shape} vs op {op.shape}")
+    if state.ndim == 1:
+        return complex(state.conj() @ op @ state)
     return complex(np.trace(state @ op))
 
 

@@ -17,6 +17,7 @@ from .fock import (
     SIGMA_Z,
     annihilation,
     atom_field,
+    block_diagonal,
     displacement,
     identity_field,
     matrix_exponential,
@@ -60,27 +61,50 @@ def effective_hamiltonian(p: SystemParams):
     return h
 
 
+def rabi_blocks(p: SystemParams, n):
+    """Detuning Delta_n = chi n + delta_tilde and Rabi frequency
+    Omega_n = hypot(Delta_n, |epsilon|) of the photon-number blocks h_n
+    of the undisplaced core, for array-like n >= 0.  Omega_n is exactly
+    0.0 in the degenerate case epsilon = 0 and Delta_n = 0."""
+    n = np.asarray(n)
+    if np.any(n < 0):
+        raise ValueError(f"photon number must be >= 0, got {n.min()}")
+    d = derived_params(p)
+    detuned = d.chi * n + d.delta_tilde
+    return detuned, np.hypot(detuned, abs(p.epsilon))
+
+
+def effective_core_blocks(p: SystemParams):
+    """The (dcut, 2, 2) stack of photon-number blocks of the undisplaced
+    core, h_n = [[Delta_n, eps], [eps*, -Delta_n]] in the atom basis
+    (|e>, |g>), with Delta_n from rabi_blocks."""
+    detuned, _ = rabi_blocks(p, np.arange(p.dcut))
+    blocks = np.empty((p.dcut, 2, 2), dtype=complex)
+    blocks[:, 0, 0], blocks[:, 1, 1] = detuned, -detuned
+    blocks[:, 0, 1], blocks[:, 1, 0] = p.epsilon, np.conjugate(p.epsilon)
+    return blocks
+
+
 def effective_core(p: SystemParams):
     """Undisplaced core sz [chi N + delta_tilde] + eps s+ + eps* s-."""
-    d = derived_params(p)
-    n_op = number(p.dcut)
-    ident = identity_field(p.dcut)
-    h = atom_field(SIGMA_Z, d.chi * n_op + d.delta_tilde * ident)
-    h += p.epsilon * atom_field(SIGMA_PLUS, ident)
-    h += np.conjugate(p.epsilon) * atom_field(SIGMA_MINUS, ident)
-    return h
+    return block_diagonal(effective_core_blocks(p))
+
+
+def displaced_photon_weights(p: SystemParams):
+    """Photon weights of |alpha - beta>, the field of the core's frame at
+    every time, as the core conserves photon number; refuses a cutoff
+    that it does not fit (fock.photon_weights), naming alpha and beta."""
+    beta = derived_params(p).beta
+    return photon_weights(
+        abs(p.alpha - beta) ** 2, p.dcut,
+        f"|alpha - beta> (alpha = {p.alpha:g}, beta = {beta:g})")
 
 
 def displaced_frame(p: SystemParams):
-    """The joint displacement I (x) D(beta) into the frame of the core.
-
-    The core conserves photon number, so the field's photon distribution
-    there is that of |alpha - beta> at every time; refuses a cutoff that
-    it does not fit (fock.photon_weights).
-    """
-    d = derived_params(p)
-    photon_weights(abs(p.alpha - d.beta) ** 2, p.dcut)
-    return atom_field(np.eye(2), displacement(d.beta, p.dcut))
+    """The joint displacement I (x) D(beta) into the frame of the core,
+    after displaced_photon_weights has checked the cutoff."""
+    displaced_photon_weights(p)
+    return atom_field(np.eye(2), displacement(derived_params(p).beta, p.dcut))
 
 
 def effective_hamiltonian_displaced(p: SystemParams):

@@ -1,4 +1,4 @@
-"""Atomic observables: the closed-form polarization series, state-based
+"""Atomic observables: the closed-form series, state-based
 expectations, and collapse/revival metrics."""
 
 import numpy as np
@@ -11,12 +11,15 @@ from .fock import (
     density_from_state,
     expectation,
     identity_field,
-    photon_weights,
 )
-from .params import SystemParams, derived_params, warn_if_not_dispersive
+from .hamiltonians import (
+    displaced_photon_weights, effective_core_blocks, rabi_blocks)
+from .params import SystemParams, warn_if_not_dispersive
 from .dynamics import (
-    TimeSeries, folded_series, milburn_factor, prune_weights, rabi_blocks)
+    TimeSeries, folded_pair_weights, folded_series, milburn_factor)
 from dataclasses import dataclass
+
+ATOM_STATE = np.ones(2, dtype=complex) / np.sqrt(2.0)  # (|e> + |g>)/sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -27,62 +30,60 @@ class RevivalMetrics:
 
 
 def initial_density(p: SystemParams):
-    """Joint initial state: atom in (|g> + |e>)/sqrt(2), field coherent."""
+    """Joint initial state: atom in ATOM_STATE, field coherent."""
     field = coherent_state(p.alpha, p.dcut)
-    atom = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    return density_from_state(np.kron(atom, field))
+    return density_from_state(np.kron(ATOM_STATE, field))
+
+
+def closed_form_series(p: SystemParams, atom_op, t):
+    """Tr(rho(t) atom_op (x) I) under Milburn's equation (``atom_op=None``:
+    purity), vectorized over t, from the blocks h_n of the displaced frame,
+    where the field is |alpha - beta> at every time and atom_op (x) I
+    commutes with D(beta).  In the eigenbasis V_n of h_n (a batched 2x2
+    eigh) the state's amplitudes are sqrt(p_n) V_n^dag ATOM_STATE, p_n =
+    displaced_photon_weights, and atom_op's blocks V_n^dag atom_op V_n."""
+    warn_if_not_dispersive(p)
+    t = np.asarray(t, dtype=float)
+    _, vectors = np.linalg.eigh(effective_core_blocks(p))
+    # eigh orders eigenvectors s = 0, 1 of block n as (-Omega_n, Omega_n),
+    # which rabi_blocks gives to half an ulp, keeping long runs in phase
+    amp = ((ATOM_STATE @ vectors.conj())
+           * np.sqrt(displaced_photon_weights(p))[:, None])
+    prob = np.abs(amp) ** 2
+    omega_n = rabi_blocks(p, np.arange(p.dcut))[1]
+    if atom_op is None:
+        # |rho_e[j,k]|^2 = prob_j prob_k on the pairs of populated ones
+        energies, prob = np.concatenate([-omega_n, omega_n]), prob.T.ravel()
+        live = np.flatnonzero(prob)
+        j, k = live[np.array(np.triu_indices(len(live), 1))]
+        pair_weights = prob @ prob, prob[j] * prob[k], energies[j] - energies[k]
+    else:
+        # atom_op (x) I joins only the two eigenvectors of one block
+        blocks = np.swapaxes(vectors.conj(), 1, 2) @ atom_op @ vectors
+        pair_weights = ((prob * np.diagonal(blocks, 0, 1, 2)).sum().real,
+                        amp[:, 0] * amp[:, 1].conj() * blocks[:, 1, 0],
+                        -2.0 * omega_n)
+    constant, weights, omega, _ = folded_pair_weights(*pair_weights)
+    values = folded_series(constant, weights, omega, np.atleast_1d(t),
+                           milburn_factor, p.gamma, squared=atom_op is None)
+    return float(values[0]) if t.ndim == 0 else values
 
 
 def sigma_x_closed_form(p: SystemParams, t):
-    """Closed-form atomic polarization <sigma_x>(t).
-
-    Sum over the photon-number blocks of the displaced frame, weighted by
-    photon_weights(|alpha - beta|^2, dcut): block n contributes
-    (|eps|^2 + Re F(2 Omega_n, t) Delta_n^2) / Omega_n^2 with Milburn's
-    factor F, evaluated by dynamics.folded_series.  Vectorized over t.  A
-    block with vanishing Rabi frequency does not evolve and contributes
-    its full weight.
-
-    The evolving blocks are pruned like the series kernel's weights
-    (dynamics.prune_weights, dropped mass <= DROP_BUDGET) and the kept
-    weights are rescaled to the full mass of the evolving blocks, so
-    the value at t = 0 is unchanged and the result deviates from the
-    unpruned sum by at most 2 * DROP_BUDGET.
-    """
-    warn_if_not_dispersive(p)
-    d = derived_params(p)
-    t = np.asarray(t, dtype=float)
-    weights = photon_weights(abs(p.alpha - d.beta) ** 2, p.dcut)
-    detuned, omega = rabi_blocks(p, np.arange(p.dcut))
-
-    # prune the evolving blocks; rescale the kept ones to their full mass
-    live = np.flatnonzero(omega)
-    keep, _ = prune_weights(weights[live])
-    n = live[keep]
-    kept = weights[n]
-    if n.size:
-        kept = kept * (weights[live].sum() / kept.sum())
-    # ratios, not Delta_n^2 / Omega_n^2, which overflows for huge Delta_n
-    constant = (weights[omega == 0].sum()
-                + (kept * (abs(p.epsilon) / omega[n]) ** 2).sum())
-    values = folded_series(constant, kept * (detuned[n] / omega[n]) ** 2,
-                           2.0 * omega[n], np.atleast_1d(t), milburn_factor,
-                           p.gamma)
-    return float(values[0]) if t.ndim == 0 else values
+    """Closed-form atomic polarization <sigma_x>(t)."""
+    return closed_form_series(p, SIGMA_X, t)
 
 
 def sigma_x_from_state(rho):
     """<sigma_x> of a joint density matrix."""
-    dcut = rho.shape[0] // 2
-    val = expectation(rho, atom_field(SIGMA_X, identity_field(dcut)))
-    return float(val.real)
+    op = atom_field(SIGMA_X, identity_field(len(rho) // 2))
+    return float(expectation(rho, op).real)
 
 
 def atomic_inversion(rho):
     """<sigma_z> of a joint density matrix."""
-    dcut = rho.shape[0] // 2
-    val = expectation(rho, atom_field(SIGMA_Z, identity_field(dcut)))
-    return float(val.real)
+    op = atom_field(SIGMA_Z, identity_field(len(rho) // 2))
+    return float(expectation(rho, op).real)
 
 
 def purity(rho):

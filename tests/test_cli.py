@@ -127,6 +127,21 @@ class TestRunCommand:
         vb = np.array([float(r[1]) for r in rows_b])
         assert np.max(np.abs(va - vb)) <= 1e-8
 
+    def test_complex_drive_closed_form_matches_spectral(self, tmp_path):
+        # every observable, at the default grid and cutoff
+        columns = {}
+        for method in ("closed-form", "spectral"):
+            out = tmp_path / f"{method}.csv"
+            assert main(run_args(
+                "--method", method, "--epsilon", "0.5", "--epsilon-im", "0.3",
+                "--gamma", "1000", "--observables", "sigma_x,sigma_z,purity",
+                "--out", str(out))) == EXIT_OK
+            header, rows = read_csv(out)
+            assert header == ["t", "sigma_x", "sigma_z", "purity"]
+            columns[method] = np.array(rows, dtype=float)
+        gap = np.abs(columns["closed-form"] - columns["spectral"]).max(axis=0)
+        assert np.all(gap <= 1e-11), gap
+
     def test_invalid_method_writes_nothing(self, tmp_path):
         out = tmp_path / "x.csv"
         code = main(run_args("--method", "nonsense", "--out", str(out)))
@@ -330,7 +345,10 @@ class TestTruncationRule:
         assert code == EXIT_GUARD
         assert list(tmp_path.iterdir()) == []
         err = capsys.readouterr().err.splitlines()
-        assert sum(line.startswith("numerical guard: ") for line in err) == 1
+        guard = [line for line in err if line.startswith("numerical guard: ")]
+        assert len(guard) == 1
+        # the refused state is named by alpha and beta, not only its mean
+        assert "alpha = -2.5, beta = 5" in guard[0]
 
     def test_large_displacement_within_cutoff(self, tmp_path):
         # beta = 6.25 is large for cutoff 64, but |alpha> and

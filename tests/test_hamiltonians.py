@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from milburnsim.fock import (
+    SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, atom_field, identity_field, number)
 from milburnsim.hamiltonians import (
     compare_operators,
     effective_core,
+    effective_core_blocks,
     effective_hamiltonian,
     effective_hamiltonian_displaced,
     interaction_hamiltonian,
@@ -150,6 +153,21 @@ class TestDisplacedForm:
         expected = np.concatenate([d.chi * np.arange(8) + d.delta_tilde,
                                    -(d.chi * np.arange(8) + d.delta_tilde)])
         np.testing.assert_allclose(core, np.diag(expected), atol=1e-14)
+
+    def test_core_is_assembled_from_its_blocks(self):
+        # the block stack against the operator form, at a complex drive
+        p = SystemParams(lam=1.0, epsilon=0.5 + 0.3j, delta=2.0, gamma=1.0,
+                         dcut=8)
+        d = derived_params(p)
+        ident = identity_field(8)
+        operator_form = (
+            atom_field(SIGMA_Z, d.chi * number(8) + d.delta_tilde * ident)
+            + p.epsilon * atom_field(SIGMA_PLUS, ident)
+            + np.conjugate(p.epsilon) * atom_field(SIGMA_MINUS, ident))
+        np.testing.assert_array_equal(effective_core(p), operator_form)
+        blocks = effective_core_blocks(p)
+        assert blocks.shape == (8, 2, 2)
+        np.testing.assert_array_equal(blocks[3], operator_form[3::8, 3::8])
 
     def test_displacement_preserves_spectrum(self, fig1b):
         hd = effective_hamiltonian_displaced(fig1b)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from milburnsim.dynamics import DROP_BUDGET, SpectralPropagator, TimeSeries
 from milburnsim.fock import (
     SIGMA_X,
+    SIGMA_Z,
     atom_field,
     coherent_state,
     density_from_state,
@@ -14,6 +17,7 @@ from milburnsim.fock import (
 from milburnsim.hamiltonians import effective_hamiltonian_displaced
 from milburnsim.observables import (
     atomic_inversion,
+    closed_form_series,
     initial_density,
     purity,
     revival_metrics,
@@ -35,7 +39,10 @@ def spectral_sigma_x_series(p, times):
 param_sets = st.builds(
     SystemParams,
     lam=st.floats(min_value=0.5, max_value=2.0),
-    epsilon=st.floats(min_value=0.0, max_value=1.0),
+    # |epsilon| with a phase: the closed form holds for any complex drive
+    epsilon=st.builds(lambda r, phase: r * np.exp(1j * phase),
+                      st.floats(min_value=0.0, max_value=1.0),
+                      st.floats(min_value=-np.pi, max_value=np.pi)),
     delta=st.floats(min_value=1.0, max_value=4.0),
     gamma=st.floats(min_value=10.0, max_value=1e6),
     alpha=st.floats(min_value=0.0, max_value=3.0),
@@ -53,6 +60,37 @@ class TestClosedForm:
     @settings(max_examples=60, deadline=None)
     def test_polarization_bound(self, p, t):
         assert abs(sigma_x_closed_form(p, t)) <= 1.0 + 1e-9
+
+    @given(param_sets, st.lists(st.floats(min_value=0.0, max_value=10.0),
+                                min_size=1, max_size=3, unique=True))
+    @settings(max_examples=25, deadline=None)
+    def test_every_observable_matches_state_evolution(self, p, times):
+        # per-point SpectralPropagator.evolve shares no series code with
+        # the closed form
+        times = np.sort(times)
+        h = effective_hamiltonian_displaced(p)
+        prop = SpectralPropagator(h=h, gamma=p.gamma)
+        states = [prop.evolve(initial_density(p), t) for t in times]
+        for from_state, atom_op in ((sigma_x_from_state, SIGMA_X),
+                                    (atomic_inversion, SIGMA_Z),
+                                    (purity, None)):
+            expected = [from_state(rho) for rho in states]
+            closed = closed_form_series(p, atom_op, times)
+            assert np.max(np.abs(closed - expected)) <= 1e-9
+
+    @pytest.mark.parametrize("atom_op", [SIGMA_X, SIGMA_Z])
+    def test_atom_operator_memory_is_linear_in_cutoff(self, atom_op):
+        # one eigenpair per photon block: a (2 cutoff)^2 complex array
+        # at cutoff 400 alone would take 10 MB
+        p = SystemParams(lam=1.0, epsilon=0.5 + 0.3j, delta=2.0, gamma=1e3,
+                         alpha=2.5, dcut=400)
+        tracemalloc.start()
+        try:
+            closed_form_series(p, atom_op, np.linspace(0.0, 12.0, 100))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_undamped_no_drive_limit(self):
         # independent oracle: Poisson-weighted dispersive cosine sum
