@@ -190,13 +190,13 @@ def compute_series(cfg: RunConfig):
 
 
 def _write_atomic(path, chunks):
-    """Write the strings of chunks to a new file beside path, then rename
-    it onto path, so that a failure leaves path as it was.  A failure to
-    create the temporary file is reported against path."""
+    """Write the byte strings of chunks to a new file beside path, then
+    rename it onto path, so that a failure leaves path as it was.  A
+    failure to create the temporary file is reported against path."""
     tmp = os.path.join(os.path.dirname(path),
                        f".{os.path.basename(path)}.{os.urandom(6).hex()}.tmp")
     try:
-        f = open(tmp, "x", newline="")
+        f = open(tmp, "xb")
     except OSError as e:
         raise OSError(e.errno, e.strerror, os.fspath(path)) from e
     try:
@@ -209,12 +209,66 @@ def _write_atomic(path, chunks):
         raise
 
 
+# _format_fixed lays each value out in 40 bytes, ten '<u4' words: a
+# spare word, 16 integer digits, '.' and 15 fraction digits, then the
+# separator and 3 pad bytes.  _DIGITS4[k] holds the 4 ASCII digits of k,
+# the first in the low byte; _KEEP[s] keeps bytes s to 36 of a value.
+_PAIRS = np.arange(100) // 10 + 48 | (np.arange(100) % 10 + 48) << 8
+_DIGITS4 = (_PAIRS[:, None] | _PAIRS << 16).ravel().astype("<u4")
+_POW10 = 10 ** np.arange(1, 16, dtype=np.int64)
+_KEEP = (np.arange(40) >= np.arange(21)[:, None]) & (np.arange(40) < 37)
+_SPLIT = 2.0**27 + 1.0  # Veltkamp's splitter for binary64
+_E15_HI = _SPLIT * 1e15 - (_SPLIT * 1e15 - 1e15)
+_E15_LO = 1e15 - _E15_HI
+
+
+def _format_fixed(block, row):
+    """The bytes (a buffer) of (row * len(block)) % tuple(block.ravel()),
+    for a 2-D block and a row template of '%.15f' fields, ',' between them
+    and LF after: each value rounded half-even on its exact binary value, '-'
+    where the sign bit is set.  A block holding a non-finite value or one
+    of modulus 2^52 or more goes to `%` itself."""
+    a = np.abs(block)
+    if not np.all(a < 2.0**52):
+        return ((row * len(block)) % tuple(block.ravel().tolist())).encode()
+    whole = np.floor(a)
+    f = a - whole
+    # f * 1e15 = p + e exactly (Dekker's product); rint(p) errs only where
+    # p is a tie that e breaks
+    p = f * 1e15
+    fh = _SPLIT * f - (_SPLIT * f - f)
+    fl = f - fh
+    e = ((fh * _E15_HI - p) + fh * _E15_LO + fl * _E15_HI) + fl * _E15_LO
+    n = np.rint(p)
+    n += (p - n == 0.5) & (e > 0)
+    n -= (p - n == -0.5) & (e < 0)  # p - n is exact
+    parts = np.stack([whole, n], axis=-1).astype(np.int64)
+    del a, whole, f, p, fh, fl, e, n  # the layout takes 40 bytes a value
+    carry = parts[..., 1] == 10**15
+    parts[..., 0] += carry
+    parts[..., 1] -= carry * 10**15
+    lead = 19 - np.searchsorted(_POW10, parts[..., 0], side="right")
+    words = np.empty(block.shape + (10,), dtype="<u4")
+    for k in (3, 2, 1, 0):  # the 4-digit groups of both parts, last first
+        q = parts // 10000
+        words[..., 1 + k:9:4] = _DIGITS4[parts - 10000 * q]
+        parts = q
+    words[..., 5] -= 2  # the fraction's leading '0' (it is below 1000) to '.'
+    words[..., 9] = ord(",")
+    words[:, -1, 9] = ord("\n")
+    text = words.view(np.uint8).reshape(-1, 40)
+    # a '-' before every value, kept only where the sign bit is set
+    text[np.arange(len(text)), lead.ravel() - 1] = ord("-")
+    return text[_KEEP[lead - np.signbit(block)].reshape(-1, 40)]
+
+
 def write_csv(path, times, columns, names, header_comments=()):
     """Fixed-precision, LF-terminated CSV; byte-stable for a given input.
 
-    Rows are formatted in blocks of at most SERIES_BLOCK values, one
-    `%` operation per block, and written atomically; the formatted text
-    held at once does not grow with the row count.
+    Every value is written as '%.15f' writes it, by _format_fixed, in
+    blocks of at most SERIES_BLOCK values, and the file is written
+    atomically; the formatted text held at once does not grow with the
+    row count.
     """
     table = np.column_stack([times, *columns])
     row = ",".join(["%.15f"] * table.shape[1]) + "\n"
@@ -222,11 +276,10 @@ def write_csv(path, times, columns, names, header_comments=()):
 
     def chunks():
         for line in header_comments:
-            yield f"# {line}\n"
-        yield "t," + ",".join(names) + "\n"
+            yield f"# {line}\n".encode()
+        yield ("t," + ",".join(names) + "\n").encode()
         for start in range(0, len(table), rows):
-            block = table[start:start + rows]
-            yield (row * len(block)) % tuple(block.ravel().tolist())
+            yield _format_fixed(table[start:start + rows], row)
 
     _write_atomic(path, chunks())
 
@@ -292,9 +345,9 @@ def cmd_fig1(args):
 
     metrics_path = os.path.join(args.out_dir, "fig1_metrics.csv")
     _write_atomic(metrics_path, [
-        "series,revival_peak,revival_time,collapse_floor\n",
+        b"series,revival_peak,revival_time,collapse_floor\n",
         *(f"{label},{m.revival_peak:.15f},{m.revival_time:.15f},"
-          f"{m.collapse_floor:.15f}\n" for label, m in metrics_rows)])
+          f"{m.collapse_floor:.15f}\n".encode() for label, m in metrics_rows)])
     print(f"wrote {metrics_path}")
     return EXIT_OK
 

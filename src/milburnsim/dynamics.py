@@ -155,8 +155,11 @@ def milburn_poisson_evolve(rho0, h, t, cfg: MilburnConfig):
     return out
 
 
-SERIES_BLOCK = 2**15  # factor entries the series kernel evaluates at once
+# factor entries the series kernel evaluates at once, and values
+# cli.write_csv formats at once
+SERIES_BLOCK = 2**15
 DROP_BUDGET = 1e-14   # summed |weight| the series kernel may drop
+PHASE_TOL = 1e-6      # phase the eigenfrequencies' rounding may cost
 
 
 @dataclass(frozen=True)
@@ -252,8 +255,19 @@ def folded_series(constant, weights, omega, times, factor, gamma,
     exp(2 t Re c), and the sin(t Im c) term only for weights with an
     imaginary part.  Any other factor (poisson_factor) is called for the
     complex F.  Time rows go in blocks of at most SERIES_BLOCK entries.
+
+    Raises FloatingPointError where the phase that rounding the
+    eigenfrequencies can cost, 2^-52 max|omega| max|t|, passes PHASE_TOL.
     """
     times = np.asarray(times, dtype=float)
+    top_omega = float(np.max(np.abs(omega), initial=0.0))
+    top_t = float(np.max(np.abs(times), initial=0.0))
+    lost = 2.0**-52 * top_omega * top_t
+    if lost > PHASE_TOL:
+        raise FloatingPointError(
+            f"eigenfrequencies up to {top_omega:.3g} at times up to "
+            f"{top_t:.3g} can lose {lost:.3g} rad of phase to rounding, "
+            f"more than {PHASE_TOL:g}")
     wr, wi = weights.real, weights.imag
     exponential = isinstance(factor, ExponentialFactor)
     if exponential:

@@ -6,6 +6,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import milburnsim
 from milburnsim import cli, dynamics, observables
@@ -175,7 +178,7 @@ class TestRunCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("argv, compute_error", [
-        # gamma * t overflows, and 0 * inf would print nan rows
+        # refused by the phase guard, before gamma * t could overflow
         pytest.param(["--method", "closed-form", "--tmax", "1e308",
                       "--steps", "3"], None, id="closed-form"),
         pytest.param(["--method", "spectral", "--tmax", "1e308",
@@ -186,6 +189,14 @@ class TestRunCommand:
         pytest.param(["--steps", "3"],
                      MemoryError("Unable to allocate 7.28 TiB"),
                      id="out-of-memory"),
+        # Delta_n is about 1e300: rounding the eigenfrequencies costs far
+        # more than a radian of phase, even below the first time step
+        pytest.param(["--method", "closed-form", "--epsilon", "1e150",
+                      "--tmax", "1e-6", "--steps", "7"], None,
+                     id="huge-drive-closed-form"),
+        pytest.param(["--method", "spectral", "--epsilon", "1e150",
+                      "--tmax", "1e-6", "--steps", "7"], None,
+                     id="huge-drive-spectral"),
     ])
     def test_numerical_guard_writes_nothing(self, tmp_path, capsys,
                                             monkeypatch, argv, compute_error):
@@ -200,19 +211,6 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("numerical guard: ") and err.count("\n") == 1
         assert "Traceback" not in err
-
-    def test_huge_drive_closed_form_matches_spectral(self, tmp_path):
-        # Delta_n is about 1e300 here, so Delta_n^2 would overflow
-        values = []
-        for method in ("closed-form", "spectral"):
-            out = tmp_path / f"{method}.csv"
-            code = main(run_args("--method", method, "--epsilon", "1e150",
-                                 "--steps", "3", "--out", str(out)))
-            assert code == EXIT_OK
-            _, rows = read_csv(out)
-            values.append(np.array([float(r[1]) for r in rows]))
-        assert np.all(np.isfinite(values))
-        assert np.max(np.abs(values[0] - values[1])) <= 1e-12
 
     def test_poisson_window_budget_exit_code(self, tmp_path):
         # gamma * tmax = 1e8 needs a window of about 1.6e5 kicks
@@ -279,6 +277,23 @@ class TestRunCommand:
             for t, a, b in zip(times, *cols))
         assert out.read_bytes() == expected.encode()
 
+    def test_writer_mixes_fast_and_fallback_blocks(self, tmp_path,
+                                                   monkeypatch):
+        # 3 rows per block: the second and fourth blocks hold values that
+        # only `%` formats, the first and third none
+        monkeypatch.setattr(dynamics, "SERIES_BLOCK", 9)
+        times = np.linspace(0.0, 1e300, 11)
+        times[:3] = times[6:9] = [0.0, 0.25, -0.0]
+        col = np.resize([1.0 / 3.0, -5e-16, 47.99999999999999, 2.0**52,
+                         float("nan"), -float("inf"), 0.9999999999999999],
+                        11)
+        col[:3] = col[6:9] = [1e-17, -1e-17, 0.5]
+        out = tmp_path / "w.csv"
+        write_csv(out, times, [col], ("a",))
+        expected = "t,a\n" + "".join(
+            "%.15f,%.15f\n" % (t, a) for t, a in zip(times, col))
+        assert out.read_bytes() == expected.encode()
+
     def test_byte_stable_output(self, tmp_path):
         out_1 = tmp_path / "r1.csv"
         out_2 = tmp_path / "r2.csv"
@@ -324,6 +339,70 @@ class TestRunCommand:
         text = out.read_text()
         assert "extension" in text.splitlines()[4] or \
             any("extension" in ln for ln in text.splitlines() if ln.startswith("#"))
+
+
+def percent_text(block):
+    """The '%.15f' text of each value of a (rows, columns) block, one
+    value at a time."""
+    return "".join(",".join("%.15f" % x for x in row) + "\n"
+                   for row in block.tolist())
+
+
+def fixed_text(block):
+    row = ",".join(["%.15f"] * block.shape[1]) + "\n"
+    return bytes(cli._format_fixed(block, row)).decode()
+
+
+class TestFixedPointFormat:
+    """cli._format_fixed writes the bytes '%.15f' writes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 3)),
+                  elements=st.floats(-64.0, 64.0)))
+    def test_interval(self, block):
+        assert fixed_text(block) == percent_text(block)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+    def test_bit_patterns(self, bits):
+        # every float64, non-finite and beyond 2^52 ones included
+        block = np.array(bits, dtype=np.uint64).view(np.float64)[:, None]
+        assert fixed_text(block) == percent_text(block)
+
+    def test_uniform_sample(self):
+        # about 4% of these land p = f 1e15 on a half that only e breaks
+        block = np.random.default_rng(5).uniform(-64.0, 64.0, (10_000, 2))
+        assert fixed_text(block) == percent_text(block)
+
+    def test_exact_ties(self):
+        # every k / 2^16 in +-3.05: f 1e15 is then an integer plus a half
+        k = np.arange(-200_000, 200_000)
+        block = (k / 65536.0).reshape(-1, 4)
+        assert fixed_text(block) == percent_text(block)
+
+    @pytest.mark.parametrize("value", [
+        0.0, -0.0, 5e-16, -5e-16, 1e-17, -1e-17, 5e-324, -5e-324,
+        2.2250738585072014e-308, -1e-310,
+        # fractions at the top of [0, 1): a round-up carries into the
+        # integer part
+        0.9999999999999995, 0.9999999999999999, 0.99999999999999995,
+        47.99999999999999, -47.99999999999999,
+        # f 1e15 rounds to a half, broken by the product's low part
+        -1.8955552727507126, 34.37017585872056, 63.875312937464,
+        # long integer parts, up to 16 digits
+        1e15 - 0.5, 2.0**51 + 0.5, 2.0**52 - 0.5, -(2.0**52 - 1.0),
+        123456789012345.67,
+    ])
+    def test_edge_values(self, value):
+        block = np.array([[value, -value], [1.0, value]])
+        assert fixed_text(block) == percent_text(block)
+
+    @pytest.mark.parametrize("value", [
+        2.0**52, -2.0**52, 1e300, -1.7976931348623157e308,
+        float("inf"), -float("inf"), float("nan")])
+    def test_fallback_values(self, value):
+        block = np.array([[0.25, value], [-0.0, 1.0 / 3.0]])
+        assert fixed_text(block) == percent_text(block)
 
 
 class TestTruncationRule:
