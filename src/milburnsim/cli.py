@@ -26,9 +26,9 @@ from .dynamics import (
     WindowBudgetError,
     block_propagators,
     first_order_factor,
+    kick_count_factor,
     milburn_factor,
     milburn_poisson_evolve,
-    poisson_factor,
     schrodinger_evolve,
     unitary_factor,
 )
@@ -53,7 +53,7 @@ from .params import SystemParams
 METHODS = {
     "closed-form": None,
     "spectral": (effective_hamiltonian_displaced, milburn_factor),
-    "poisson": (effective_hamiltonian_displaced, poisson_factor),
+    "poisson": (effective_hamiltonian_displaced, kick_count_factor),
     "lindblad": (effective_hamiltonian_displaced, first_order_factor),
     "schrodinger": (effective_hamiltonian_displaced, unitary_factor),
     "full-oracle": (interaction_hamiltonian, milburn_factor),

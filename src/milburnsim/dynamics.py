@@ -7,8 +7,9 @@ Routes:
     eigenbasis of H, so an observable's time series is one scalar factor
     per eigenfrequency (Milburn's, the windowed Poisson kick sum, the
     first-order master equation's, or the unitary phase) on weights that
-    folded_pair_weights folds onto half the eigenpairs, summed in real
-    arithmetic by folded_series.  SpectralPropagator takes the
+    folded_pair_weights folds onto half the eigenpairs, summed by
+    folded_series: per eigenpair in real arithmetic, or for the kick sum
+    (KickCountFactor) over the kick count.  SpectralPropagator takes the
     eigenbasis from a dense eigh, the closed form from the 2x2 blocks;
   * state-level routes kept as independent references for that kernel:
     exact intrinsic-decoherence evolution as a Poisson-weighted sum of
@@ -174,6 +175,27 @@ class ExponentialFactor:
         rate, freq = self.exponent(omega, gamma)
         return np.exp(rate * t + 1j * (freq * t))
 
+    def series(self, weights, omega, times, gamma, squared):
+        """Re sum_p weights_p F(omega_p, t), or sum_p weights_p |F|^2, in
+        real arithmetic: |F|^2 as exp(2 t Re c), and the sin(t Im c) term
+        only for weights with an imaginary part.  Time rows go in blocks
+        of at most SERIES_BLOCK entries."""
+        rate, freq = self.exponent(omega, gamma)
+        wr, wi = weights.real, weights.imag
+        out = np.empty(len(times))
+        rows = max(1, SERIES_BLOCK // max(1, len(omega)))
+        for start in range(0, len(times), rows):
+            tb = times[start:start + rows, None]
+            if squared:
+                block = np.exp(2.0 * rate * tb) @ wr
+            else:
+                damp = np.exp(rate * tb)
+                block = (damp * np.cos(freq * tb)) @ wr
+                if wi.any():
+                    block -= (damp * np.sin(freq * tb)) @ wi
+            out[start:start + rows] = block
+        return out
+
 
 def milburn_exponent(omega, gamma):
     """Milburn's exponent gamma (e^{-i w/gamma} - 1), split as
@@ -200,19 +222,79 @@ first_order_factor = ExponentialFactor(first_order_exponent)
 unitary_factor = ExponentialFactor(unitary_exponent)
 
 
-def poisson_factor(omega, t, gamma):
-    """The kick sum sum_m p_m(gamma t) e^{-i m w/gamma} over the same
-    renormalized window as milburn_poisson_evolve; raises
-    WindowBudgetError where that route would."""
-    theta = omega / gamma
+def _kick_sums(kicks, weights, theta):
+    """Re sum_p weights_p e^{-i k theta_p} for each kick count k, in
+    chunks of at most SERIES_BLOCK phases."""
+    wr, wi = weights.real, weights.imag
+    out = np.empty(len(kicks))
     chunk = max(1, SERIES_BLOCK // max(1, len(theta)))
-    out = np.zeros((np.size(t), len(theta)), dtype=complex)
-    for row, ti in zip(out, np.ravel(t)):
-        kicks, weights = _kick_weights(ti, gamma)
-        for s in range(0, len(kicks), chunk):
-            phases = np.multiply.outer(kicks[s:s + chunk], theta)
-            row += weights[s:s + chunk] @ np.exp(-1j * phases)
+    for s in range(0, len(kicks), chunk):
+        phases = np.multiply.outer(kicks[s:s + chunk], theta)
+        out[s:s + chunk] = np.cos(phases) @ wr
+        if wi.any():
+            out[s:s + chunk] += np.sin(phases) @ wi
     return out
+
+
+def _window_union(m_lo, m_hi):
+    """The kick counts of the union of the windows [m_lo, m_hi], sorted:
+    overlapping or adjacent windows merged, gaps left out."""
+    order = np.argsort(m_lo, kind="stable")
+    lo, reach = m_lo[order], np.maximum.accumulate(m_hi[order])
+    last = np.append(lo[1:] > reach[:-1] + 1, True)  # a run ends here
+    return np.concatenate([np.arange(a, b + 1) for a, b in zip(
+        lo[np.roll(last, 1)], reach[last])])
+
+
+class KickCountFactor:
+    """Milburn's kick sum F(w, t) = sum_m p_m(gamma t) e^{-i m w/gamma}
+    over milburn_poisson_evolve's renormalized window, summed over the
+    kick count m.  With theta_p = omega_p/gamma, a linear observable is
+    sum_m p_m g_m, g_m = Re sum_p w_p e^{-i m theta_p}, computed once per
+    kick count of the union of the windows (on an increasing time grid).
+    The purity is A_0 g_0 + 2 sum_{d>=1} A_d g_d over the lags d, with
+    the autocorrelation A_d = sum_m p_m p_{m+d} of each row's weights from
+    one rfft per block of rows.  A block holds at most SERIES_BLOCK/2
+    window weights and as many g values, or a single row's window."""
+
+    def series(self, weights, omega, times, gamma, squared):
+        # every window is checked before any array is allocated
+        windows = np.array([poisson_window(gamma * t) for t in times],
+                           dtype=np.int64).reshape(-1, 2)
+        width = int(np.max(np.diff(windows), initial=0)) + 1
+        rows = max(1, SERIES_BLOCK // (2 * width))
+        theta = omega / gamma
+        union, g = np.empty(0, dtype=np.int64), np.empty(0)
+        out = np.empty(len(times))
+        for start in range(0, len(times), rows):
+            m_lo, m_hi = windows[start:start + rows].T
+            offset = np.arange(np.max(m_hi - m_lo) + 1)
+            kicks = m_lo[:, None] + offset
+            p = np.where(kicks <= m_hi[:, None], poisson_pmf(
+                kicks, gamma * times[start:start + rows, None]), 0.0)
+            p /= p.sum(axis=1, keepdims=True)
+            if squared:  # A_0, 2 A_1, 2 A_2, ... on the lags as kick counts
+                n = 1 << (2 * len(offset) - 1).bit_length()  # no wrap-around
+                spectrum = np.fft.rfft(p, n)
+                p = np.fft.irfft(spectrum.real**2 + spectrum.imag**2,
+                                 n)[:, :len(offset)]
+                p[:, 1:] *= 2.0
+                m_lo, m_hi = np.zeros_like(m_lo), m_hi - m_lo
+            # g over the union of the windows, reusing the previous block's
+            new_union = _window_union(m_lo, m_hi)
+            known = np.isin(new_union, union)
+            new_g = np.empty(len(new_union))
+            new_g[known] = g[np.searchsorted(union, new_union[known])]
+            new_g[~known] = _kick_sums(new_union[~known], weights, theta)
+            union, g = new_union, new_g
+            # each window is a contiguous run of the union
+            at = np.searchsorted(union, m_lo)[:, None] + offset
+            out[start:start + rows] = np.einsum(
+                "ij,ij->i", p, g[np.minimum(at, len(union) - 1)])
+        return out
+
+
+kick_count_factor = KickCountFactor()
 
 
 def prune_weights(weights):
@@ -251,10 +333,9 @@ def folded_series(constant, weights, omega, times, factor, gamma,
     """constant + Re sum_p weights_p F(omega_p, t) on a time grid, or with
     ``squared`` (real weights) constant + sum_p weights_p |F(omega_p, t)|^2.
 
-    An ExponentialFactor is evaluated in real arithmetic: |F|^2 as
-    exp(2 t Re c), and the sin(t Im c) term only for weights with an
-    imaginary part.  Any other factor (poisson_factor) is called for the
-    complex F.  Time rows go in blocks of at most SERIES_BLOCK entries.
+    Every factor evaluates its own sum, by its ``series`` method: an
+    ExponentialFactor per eigenpair in real arithmetic, KickCountFactor
+    as a series in the kick count.
 
     Raises FloatingPointError where the phase that rounding the
     eigenfrequencies can cost, 2^-52 max|omega| max|t|, passes PHASE_TOL.
@@ -268,27 +349,7 @@ def folded_series(constant, weights, omega, times, factor, gamma,
             f"eigenfrequencies up to {top_omega:.3g} at times up to "
             f"{top_t:.3g} can lose {lost:.3g} rad of phase to rounding, "
             f"more than {PHASE_TOL:g}")
-    wr, wi = weights.real, weights.imag
-    exponential = isinstance(factor, ExponentialFactor)
-    if exponential:
-        rate, freq = factor.exponent(omega, gamma)
-    out = np.empty(len(times))
-    rows = max(1, SERIES_BLOCK // max(1, len(omega)))
-    for start in range(0, len(times), rows):
-        tb = times[start:start + rows, None]
-        if not exponential:
-            f = factor(omega, tb, gamma)
-            block = ((f.real**2 + f.imag**2) @ wr if squared
-                     else f.real @ wr - f.imag @ wi)
-        elif squared:
-            block = np.exp(2.0 * rate * tb) @ wr
-        else:
-            damp = np.exp(rate * tb)
-            block = (damp * np.cos(freq * tb)) @ wr
-            if wi.any():
-                block -= (damp * np.sin(freq * tb)) @ wi
-        out[start:start + rows] = block + constant
-    return out
+    return factor.series(weights, omega, times, gamma, squared) + constant
 
 
 @dataclass

@@ -112,16 +112,20 @@ def log_factorial(m):
 
 
 def poisson_pmf(m, mean):
-    """Poisson probabilities p_m = e^{-mean} mean^m / m! for integer m,
-    in log space so that large means neither overflow nor underflow:
-    exp(m ln(mean) - log_factorial(m) - mean), and 0^0 = 1 at mean 0.
-    Over the window of dynamics.poisson_window it is within
+    """Poisson probabilities p_m = e^{-mean} mean^m / m! for integer m
+    and a mean that broadcasts against m (a column of means gives one
+    row each), in log space so that large means neither overflow nor
+    underflow: exp(m ln(mean) - log_factorial(m) - mean), and 0^0 = 1 at
+    mean 0.  Over the window of dynamics.poisson_window it is within
     3.2e-15 of scipy.stats.poisson.pmf for means up to 100 and 6.5e-13
     up to 1e6; both carry the rounding of m ln(mean), which grows with
     the mean (1.2e-13 from the exact value at mean 1e4)."""
-    m = np.asarray(m)
-    log_power = (m * math.log(mean) if mean > 0
-                 else np.where(m == 0, 0.0, -np.inf))
+    m, mean = np.asarray(m), np.asarray(mean, dtype=float)
+    # math.log: np.log differs from it in the last bit of some means
+    log_mean = np.reshape([math.log(x) if x > 0 else -math.inf
+                           for x in mean.flat], mean.shape)
+    with np.errstate(invalid="ignore"):  # 0 * -inf at mean 0
+        log_power = np.where(m == 0, 0.0, m * log_mean)
     return np.exp(log_power - log_factorial(m) - mean)
 
 

@@ -104,6 +104,15 @@ class TestConfigParsing:
             build_run_config(args)
 
 
+def _out_of_memory(cfg):
+    raise MemoryError("Unable to allocate 7.28 TiB")
+
+
+def _nan_column(cfg):
+    times = np.linspace(0.0, cfg.tmax, cfg.steps)
+    return times, [np.where(times > 0.0, np.nan, 1.0)]
+
+
 class TestRunCommand:
     def test_closed_form_starts_at_one(self, tmp_path):
         out = tmp_path / "series.csv"
@@ -177,7 +186,7 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("argv, compute_error", [
+    @pytest.mark.parametrize("argv, compute_series", [
         # refused by the phase guard, before gamma * t could overflow
         pytest.param(["--method", "closed-form", "--tmax", "1e308",
                       "--steps", "3"], None, id="closed-form"),
@@ -186,9 +195,9 @@ class TestRunCommand:
         # mean +- half width rounds to a one-term window
         pytest.param(["--method", "poisson", "--gamma", "1e35",
                       "--steps", "3"], None, id="poisson-collapsed-window"),
-        pytest.param(["--steps", "3"],
-                     MemoryError("Unable to allocate 7.28 TiB"),
-                     id="out-of-memory"),
+        pytest.param(["--steps", "3"], _out_of_memory, id="out-of-memory"),
+        # a series that comes out non-finite is refused before writing
+        pytest.param(["--steps", "3"], _nan_column, id="non-finite-series"),
         # Delta_n is about 1e300: rounding the eigenfrequencies costs far
         # more than a radian of phase, even below the first time step
         pytest.param(["--method", "closed-form", "--epsilon", "1e150",
@@ -199,10 +208,9 @@ class TestRunCommand:
                      id="huge-drive-spectral"),
     ])
     def test_numerical_guard_writes_nothing(self, tmp_path, capsys,
-                                            monkeypatch, argv, compute_error):
-        if compute_error is not None:
-            def compute_series(cfg):
-                raise compute_error
+                                            monkeypatch, argv,
+                                            compute_series):
+        if compute_series is not None:
             monkeypatch.setattr(cli, "compute_series", compute_series)
         out = tmp_path / "x.csv"
         code = main(run_args(*argv, "--out", str(out)))
@@ -211,6 +219,30 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("numerical guard: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags, reference", [
+        # the default grid: tmax 12, 1200 steps, cutoff 64
+        pytest.param(["--epsilon", "0.5", "--gamma", "1000"], "spectral",
+                     id="default-grid"),
+        pytest.param(["--epsilon", "0.5", "--epsilon-im", "0.3",
+                      "--gamma", "1000", "--tmax", "4", "--steps", "200"],
+                     "closed-form", id="complex-drive"),
+    ])
+    def test_poisson_matches_reference_on_every_column(self, tmp_path,
+                                                      flags, reference):
+        # the Poisson window discards a mass below 1e-10
+        columns = {}
+        for method in ("poisson", reference):
+            out = tmp_path / f"{method}.csv"
+            assert main(run_args(
+                "--method", method, *flags,
+                "--observables", "sigma_x,sigma_z,purity",
+                "--out", str(out))) == EXIT_OK
+            header, rows = read_csv(out)
+            assert header == ["t", "sigma_x", "sigma_z", "purity"]
+            columns[method] = np.array(rows, dtype=float)
+        gap = np.abs(columns["poisson"] - columns[reference]).max(axis=0)
+        assert np.all(gap <= 1e-10), gap
 
     def test_poisson_window_budget_exit_code(self, tmp_path):
         # gamma * tmax = 1e8 needs a window of about 1.6e5 kicks

@@ -16,11 +16,11 @@ from milburnsim.dynamics import (
     effective_propagator,
     first_order_factor,
     folded_series,
+    kick_count_factor,
     lindblad_first_order_evolve,
     milburn_factor,
     milburn_poisson_evolve,
     milburn_spectral_evolve,
-    poisson_factor,
     prune_weights,
     rabi_blocks,
     schrodinger_evolve,
@@ -32,6 +32,7 @@ from milburnsim.fock import (
     atom_field,
     identity_field,
     matrix_exponential,
+    poisson_pmf,
 )
 from milburnsim.hamiltonians import effective_hamiltonian_displaced
 from milburnsim.observables import atomic_inversion, initial_density, purity
@@ -374,7 +375,7 @@ KERNEL_ROUTES = {
                                    for t in times],
         1e-12),
     "poisson": (
-        poisson_factor,
+        kick_count_factor,
         lambda rho0, h, times, g: [
             milburn_poisson_evolve(rho0, h, t, MilburnConfig(gamma=g))
             for t in times],
@@ -422,10 +423,10 @@ class TestSeriesKernel:
         prop = SpectralPropagator(h=h, gamma=p.gamma)
         x_op = atom_field(SIGMA_X, identity_field(p.dcut))
         times = np.linspace(0.0, 1.5, 7)
-        factors = (milburn_factor, poisson_factor)
+        factors = (milburn_factor, kick_count_factor)
         whole = [prop.expectation_series(rho0, op, times, f)
                  for f in factors for op in (x_op, None)]
-        # blocks of one time row, Poisson kicks in chunks of one term
+        # blocks of one time row, kick sums in chunks of one kick count
         monkeypatch.setattr(dynamics, "SERIES_BLOCK", 1)
         blocked = [prop.expectation_series(rho0, op, times, f)
                    for f in factors for op in (x_op, None)]
@@ -485,6 +486,48 @@ def hermitian_series_cases(draw):
     return h, rho, op, gamma, times
 
 
+def direct_kick_sum(omega, t, gamma):
+    """Milburn's kick sum sum_m p_m e^{-i m omega/gamma} for each time
+    row, term by term over the renormalized window of poisson_window."""
+    rows = []
+    for ti in np.ravel(t):
+        m_lo, m_hi = dynamics.poisson_window(gamma * ti)
+        kicks = np.arange(m_lo, m_hi + 1)
+        weights = poisson_pmf(kicks, gamma * ti)
+        phases = np.multiply.outer(kicks, omega / gamma)
+        rows.append(weights / weights.sum() @ np.exp(-1j * phases))
+    return np.array(rows)
+
+
+# each route factor and the complex F(omega, t, gamma) it stands for
+FACTORS_AND_DIRECT_SUMS = (
+    (milburn_factor, milburn_factor),
+    (kick_count_factor, direct_kick_sum),
+    (first_order_factor, first_order_factor),
+    (unitary_factor, unitary_factor),
+)
+
+
+def assert_matches_unfolded_sum(h, rho, op, gamma, times, factors):
+    """folded_series against the plain complex sum over all eigenpairs,
+    within the dropped weight."""
+    prop = SpectralPropagator(h=h, gamma=gamma)
+    rho_e = prop.vectors.conj().T @ rho @ prop.vectors
+    op_e = prop.vectors.conj().T @ op @ prop.vectors
+    omega = (prop.energies[:, None] - prop.energies[None, :]).ravel()
+    for factor, direct in factors:
+        f = direct(omega, times[:, None], gamma)
+        for obs, full in ((op, f @ (rho_e * op_e.T).ravel()),
+                          (None, np.abs(f) ** 2 @ np.abs(rho_e).ravel() ** 2)):
+            constant, weights, freqs, dropped = prop.folded_weights(rho, obs)
+            series = folded_series(constant, weights, freqs, times, factor,
+                                   gamma, squared=obs is None)
+            assert series.dtype == float
+            assert np.max(np.abs(series - full)) <= dropped + 1e-14
+            np.testing.assert_array_equal(
+                prop.expectation_series(rho, obs, times, factor), series)
+
+
 class TestFoldedSeries:
     """The Hermitian-folded, real-valued evaluator against the plain
     complex sum over all eigenpairs."""
@@ -492,21 +535,25 @@ class TestFoldedSeries:
     @given(hermitian_series_cases())
     @settings(max_examples=40, deadline=None)
     def test_matches_unfolded_sum(self, case):
-        h, rho, op, gamma, times = case
-        prop = SpectralPropagator(h=h, gamma=gamma)
-        rho_e = prop.vectors.conj().T @ rho @ prop.vectors
-        op_e = prop.vectors.conj().T @ op @ prop.vectors
-        omega = (prop.energies[:, None] - prop.energies[None, :]).ravel()
-        for factor in (milburn_factor, poisson_factor, first_order_factor,
-                       unitary_factor):
-            f = factor(omega, times[:, None], gamma)
-            for obs, full in ((op, f @ (rho_e * op_e.T).ravel()),
-                              (None, np.abs(f) ** 2 @ np.abs(rho_e).ravel() ** 2)):
-                constant, weights, freqs, dropped = prop.folded_weights(
-                    rho, obs)
-                series = folded_series(constant, weights, freqs, times,
-                                       factor, gamma, squared=obs is None)
-                assert series.dtype == float
-                assert np.max(np.abs(series - full)) <= dropped + 1e-14
-                np.testing.assert_array_equal(
-                    prop.expectation_series(rho, obs, times, factor), series)
+        assert_matches_unfolded_sum(*case, FACTORS_AND_DIRECT_SUMS)
+
+    @pytest.mark.parametrize("series_block", [2**15, 40])
+    def test_kick_count_series_with_disjoint_windows(self, monkeypatch,
+                                                     series_block):
+        # gamma * t = 0, 5000, 10000: the windows [0, 8], [4434, 5566] and
+        # [9199, 10801] leave gaps in their union; in any time order, and
+        # in blocks of one row and kick chunks of a few counts
+        monkeypatch.setattr(dynamics, "SERIES_BLOCK", series_block)
+        rng = np.random.default_rng(7)
+        m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        h = 0.5 * (m + m.conj().T)
+        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+        op = 0.5 * (a + a.conj().T)
+        op /= np.linalg.norm(op, 2)
+        windows = [dynamics.poisson_window(1e4 * t) for t in (0.5, 1.0)]
+        assert windows[0][0] > 8 and windows[1][0] > windows[0][1] + 1
+        for times in ([0.0, 0.5, 1.0], [1.0, 0.0, 0.5]):
+            assert_matches_unfolded_sum(
+                h, rho, op, 1e4, np.array(times),
+                [(kick_count_factor, direct_kick_sum)])

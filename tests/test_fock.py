@@ -176,6 +176,18 @@ class TestPoisson:
             p = poisson_pmf(m, mean)
         assert np.max(np.abs(p - poisson.pmf(m, mean))) <= 1e-13
 
+    def test_pmf_broadcasts_a_column_of_means(self):
+        # each row as its scalar mean gives it, 0^0 = 1 in the mean-0 row
+        means = np.array([0.0, 1e-3, 2.67, 50.0, 1e4])
+        m = np.arange(9990, 10010) - np.array([[9990], [9990], [9990],
+                                                [9950], [0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = poisson_pmf(m, means[:, None])
+        for row, kicks, mean in zip(p, m, means):
+            np.testing.assert_array_equal(row, poisson_pmf(kicks, mean))
+        np.testing.assert_array_equal(p[0], np.eye(len(p[0]))[0])
+
 
 class TestJointOperators:
     def test_identity_tensor(self):
