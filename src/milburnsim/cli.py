@@ -3,7 +3,7 @@
 Subcommands:
   run       evolve one parameter set and write a CSV time series
   fig1      emit the three reference collapse/revival curves
-  validate  cross-route consistency battery at reduced sizes
+  validate  cross-route battery and Hamiltonian gaps at reduced sizes
 
 Exit codes, all set in main: 0 success, 2 invalid configuration or
 unwritable output, 3 numerical guard violated, 4 validation mismatch.
@@ -41,12 +41,13 @@ from .fock import (
     matrix_exponential,
 )
 from .hamiltonians import (
-    effective_core_blocks, effective_hamiltonian_displaced,
-    interaction_hamiltonian)
+    compare_operators, effective_core_blocks, effective_hamiltonian,
+    effective_hamiltonian_displaced, interaction_hamiltonian,
+    small_rotation_exact, small_rotation_first_order)
 from .observables import (
     atomic_inversion, closed_form_series, initial_density, purity,
     revival_metrics, sigma_x_closed_form, sigma_x_from_state)
-from .params import SystemParams
+from .params import SystemParams, derived_params
 
 # Each method's Hamiltonian and its scalar factor F(omega, t, gamma) per
 # eigenfrequency; closed-form takes its eigenbasis from the 2x2 blocks.
@@ -352,11 +353,8 @@ def cmd_fig1(args):
     return EXIT_OK
 
 
-def _validation_checks():
-    """Reduced-size cross-route battery.  Yields (name, ok, detail)."""
-    p = SystemParams(lam=1.0, epsilon=0.5, delta=2.0, gamma=1e3,
-                     alpha=1.0, dcut=16)
-
+def _validation_checks(p):
+    """Reduced-size cross-route battery at p.  Yields (name, ok, detail)."""
     # analytic block vs 2x2 exponential
     blocks = effective_core_blocks(p)
     worst = max(np.max(np.abs(block_propagators(t, p)[n]
@@ -401,12 +399,41 @@ def _validation_checks():
     yield "closed-form-vs-state-evolution", gap <= 1e-8, f"max {gap:.2e}"
 
 
+def _rotation_gaps(p):
+    """Max |difference| on the top-left 8x8 block between the expanded
+    dispersive Hamiltonian, the exactly and the first-order rotated
+    interaction Hamiltonian, and the displaced core form that every
+    route uses.  Yields (name, gap).
+
+    The expanded form carries the coefficients 2 lam^2/delta and
+    2 lam/delta, where a direct first-order commutator calculation gives
+    half of them plus a term proportional to the identity.  The gaps are
+    reported, not resolved, and never set the exit code."""
+    eta = derived_params(p).eta
+    h_int = interaction_hamiltonian(p)
+    expanded = effective_hamiltonian(p)
+    displaced = effective_hamiltonian_displaced(p)
+    exact = small_rotation_exact(h_int, eta, p.dcut)
+    first_order = small_rotation_first_order(h_int, eta, p.dcut)
+    for name, a, b in (
+            ("expanded-vs-first-order-rotation", expanded, first_order),
+            ("expanded-vs-exact-rotation", expanded, exact),
+            ("expanded-vs-displaced-core", expanded, displaced),
+            ("exact-vs-first-order-rotation", exact, first_order),
+            ("displaced-core-vs-exact-rotation", displaced, exact)):
+        yield name, compare_operators(a, b, 8)
+
+
 def cmd_validate(args):
+    p = SystemParams(lam=1.0, epsilon=0.5, delta=2.0, gamma=1e3,
+                     alpha=1.0, dcut=16)
     status = EXIT_OK
-    for name, ok, detail in _validation_checks():
+    for name, ok, detail in _validation_checks(p):
         print(f"{'PASS' if ok else 'FAIL'} {name} ({detail})")
         if not ok:
             status = EXIT_VALIDATION
+    for name, gap in _rotation_gaps(p):
+        print(f"GAP {name} (max {gap:.6f})")
     return status
 
 

@@ -1,8 +1,8 @@
 """Time evolution under the displaced effective Hamiltonian.
 
 Routes:
-  * analytic per-photon-number 2x2 propagator blocks and their
-    block-diagonal assembly (exact for the effective Hamiltonian);
+  * the exact 2x2 propagator blocks of the effective Hamiltonian per
+    photon number and their assembly, for tests and validate, not run;
   * the series kernel: every density-matrix route is diagonal in the
     eigenbasis of H, so an observable's time series is one scalar factor
     per eigenfrequency (Milburn's, the windowed Poisson kick sum, the

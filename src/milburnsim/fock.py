@@ -153,9 +153,9 @@ def matrix_exponential(m):
     """Matrix exponential by Pade scaling-and-squaring (scipy's expm).
 
     Only the oracle routes use it (schrodinger_evolve,
-    milburn_poisson_evolve, small_rotation_exact and validate's checks),
-    so they stay independent of the eigh kernel; scipy is imported here,
-    on first use, and never on the path of `run`."""
+    milburn_poisson_evolve, small_rotation_exact, and validate's checks
+    and GAP lines), so they stay independent of the eigh kernel; scipy
+    is imported here, on first use, and never on the path of `run`."""
     from scipy.linalg import expm
 
     m = np.asarray(m, dtype=complex)

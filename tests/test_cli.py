@@ -1,6 +1,8 @@
 import errno
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 
@@ -548,6 +550,29 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "FAIL closed-form-vs-state-evolution" in out
 
+    def test_rotation_gaps_are_reported(self, capsys, monkeypatch):
+        # the expanded dispersive form against the rotated H_I and the
+        # displaced core: pins chi and the expanded coefficients
+        expected = {
+            "expanded-vs-first-order-rotation": 7.000000,
+            "expanded-vs-exact-rotation": 16.080005,
+            "expanded-vs-displaced-core": 21.000000,
+            "exact-vs-first-order-rotation": 9.080005,
+            "displaced-core-vs-exact-rotation": 4.919995,
+        }
+        assert main(["validate"]) == EXIT_OK
+        gaps = {name: float(value) for name, value in re.findall(
+            r"^GAP (\S+) \(max (\S+)\)$", capsys.readouterr().out,
+            re.MULTILINE)}
+        assert gaps.keys() == expected.keys()
+        for name, value in expected.items():
+            assert gaps[name] == pytest.approx(value, abs=1e-6), name
+        # a gap is a report, never a mismatch
+        monkeypatch.setattr(cli, "compare_operators", lambda *a: 1e3)
+        assert main(["validate"]) == EXIT_OK
+        assert "GAP expanded-vs-exact-rotation (max 1000.000000)" in (
+            capsys.readouterr().out)
+
 
 def test_module_entry_point_validates():
     # outside pytest's warning filters: the dispersive-validity warning
@@ -561,6 +586,10 @@ def test_module_entry_point_validates():
     assert proc.returncode == EXIT_OK
     lines = proc.stdout.splitlines()
     assert sum(line.startswith("PASS ") for line in lines) == 5
+    gaps = [float(line.rsplit(" ", 1)[1].rstrip(")"))
+            for line in lines if line.startswith("GAP ")]
+    assert len(gaps) == 5
+    assert all(math.isfinite(g) for g in gaps)
     assert "Traceback" not in proc.stderr
     assert sum(line.startswith("warning: ")
                for line in proc.stderr.splitlines()) == 1
