@@ -177,24 +177,64 @@ class ExponentialFactor:
 
     def series(self, weights, omega, times, gamma, squared):
         """Re sum_p weights_p F(omega_p, t), or sum_p weights_p |F|^2, in
-        real arithmetic: |F|^2 as exp(2 t Re c), and the sin(t Im c) term
-        only for weights with an imaginary part.  Time rows go in blocks
-        of at most SERIES_BLOCK entries."""
+        real arithmetic: |F|^2 as exp(2 t Re c), and Im F reduced only
+        against weights with an imaginary part.
+
+        F is exponential in t, so row a r + j of a grid equal to
+        np.linspace(times[0], times[-1], n) takes F(t_{a r}) F(j h): F is
+        evaluated only at the anchors t_{a r} and the r offsets j h, and
+        each row's factor is the product of one of each.  r is about
+        sqrt(n), at most SERIES_BLOCK // pairs; any other grid takes
+        r = 1, one anchor per row and the single offset F(0) = 1.  Anchors
+        go in blocks of at most SERIES_BLOCK entries, and every row is
+        reduced by itself against the weights."""
         rate, freq = self.exponent(omega, gamma)
+        if squared:
+            rate, freq = 2.0 * rate, None
+
+        def parts(t):  # (Re F, Im F), or (|F|^2, None), at the times t
+            damp = np.exp(rate * t[:, None])
+            if freq is None:
+                return damp, None
+            return (damp * np.cos(freq * t[:, None]),
+                    damp * np.sin(freq * t[:, None]))
+
         wr, wi = weights.real, weights.imag
-        out = np.empty(len(times))
-        rows = max(1, SERIES_BLOCK // max(1, len(omega)))
-        for start in range(0, len(times), rows):
-            tb = times[start:start + rows, None]
-            if squared:
-                block = np.exp(2.0 * rate * tb) @ wr
-            else:
-                damp = np.exp(rate * tb)
-                block = (damp * np.cos(freq * tb)) @ wr
-                if wi.any():
-                    block -= (damp * np.sin(freq * tb)) @ wi
-            out[start:start + rows] = block
+        n, pairs = len(times), len(omega)
+        r = rows_per_anchor(times, pairs)
+        step = (times[-1] - times[0]) / (n - 1) if r > 1 else 0.0
+        off_re, off_im = parts(np.arange(r) * step)
+        out = np.empty(n)
+        anchors = max(1, SERIES_BLOCK // (r * max(1, pairs)))
+        # work arrays, reused: allocating them per block costs more than
+        # the products written into them
+        prod, term = np.empty((2, anchors, r, pairs))
+        for start in range(0, n, anchors * r):
+            stop = min(n, start + anchors * r)
+            a_re, a_im = parts(times[start:stop:r])
+            k = len(a_re)
+            rows = prod[:k].reshape(k * r, pairs)[:stop - start]
+            np.multiply(a_re[:, None], off_re, out=prod[:k])
+            if freq is not None:
+                prod[:k] -= np.multiply(a_im[:, None], off_im, out=term[:k])
+            block = rows @ wr
+            if freq is not None and wi.any():
+                np.multiply(a_re[:, None], off_im, out=prod[:k])
+                prod[:k] += np.multiply(a_im[:, None], off_re, out=term[:k])
+                block -= rows @ wi
+            out[start:stop] = block
         return out
+
+
+def rows_per_anchor(times, pairs):
+    """The r of ExponentialFactor.series: ceil(sqrt(n)) rows per anchor on
+    a grid equal to np.linspace(times[0], times[-1], n), but no more than
+    SERIES_BLOCK // pairs, and 1 on any other grid."""
+    n = len(times)
+    if n < 2 or not np.array_equal(
+            times, np.linspace(times[0], times[-1], n)):
+        return 1
+    return max(1, min(math.isqrt(n - 1) + 1, SERIES_BLOCK // max(1, pairs)))
 
 
 def milburn_exponent(omega, gamma):
@@ -339,6 +379,11 @@ def folded_series(constant, weights, omega, times, factor, gamma,
 
     Raises FloatingPointError where the phase that rounding the
     eigenfrequencies can cost, 2^-52 max|omega| max|t|, passes PHASE_TOL.
+    On an equispaced grid an ExponentialFactor takes t = t_a + j h for
+    the rounded row time, which adds at most about one more 2^-52
+    |omega| max|t| of phase: the same quantity, so the guard covers it.
+    Against evaluating F at each row time, the CSVs of every route move
+    by at most 2.6e-13 (at delta = 20, tmax 80).
     """
     times = np.asarray(times, dtype=float)
     top_omega = float(np.max(np.abs(omega), initial=0.0))

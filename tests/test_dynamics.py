@@ -35,7 +35,8 @@ from milburnsim.fock import (
     poisson_pmf,
 )
 from milburnsim.hamiltonians import effective_hamiltonian_displaced
-from milburnsim.observables import atomic_inversion, initial_density, purity
+from milburnsim.observables import (
+    atomic_inversion, closed_form_series, initial_density, purity)
 from milburnsim.params import SystemParams, derived_params
 
 
@@ -557,3 +558,87 @@ class TestFoldedSeries:
             assert_matches_unfolded_sum(
                 h, rho, op, 1e4, np.array(times),
                 [(kick_count_factor, direct_kick_sum)])
+
+
+class TestAnchorOffsetSeries:
+    """ExponentialFactor.series on an equispaced grid, where each row's
+    factor is an anchor's times an offset's, against the factor
+    evaluated row by row."""
+
+    EXPONENTIAL_FACTORS = (milburn_factor, first_order_factor, unitary_factor)
+
+    @staticmethod
+    def pairs(rng, count, dyadic=False):
+        """count weights (complex, summed modulus <= 1) and frequencies
+        in [-10, 10].  Dyadic weights are multiples of 2^-20, so that
+        every order of summing them is exact."""
+        weights = (rng.uniform(-1, 1, count)
+                   + 1j * rng.uniform(-1, 1, count)) / (2 * count)
+        if dyadic:
+            weights = np.round(weights * 2**20) / 2**20
+        return weights, rng.uniform(-10.0, 10.0, count)
+
+    @pytest.mark.parametrize("factor", EXPONENTIAL_FACTORS)
+    @pytest.mark.parametrize("n", [2, 3, 17, 24000])
+    @pytest.mark.parametrize("t0", [0.0, 0.7])
+    def test_matches_row_by_row_sum(self, factor, n, t0):
+        rng = np.random.default_rng(n)
+        weights, omega = self.pairs(rng, 12)
+        times = np.linspace(t0, t0 + 40.0, n)
+        r = dynamics.rows_per_anchor(times, len(omega))
+        assert r == int(np.ceil(np.sqrt(n))) > 1
+        f = factor(omega, times[:, None], 40.0)
+        for w, squared, direct in (
+                (weights, False, (f * weights).real.sum(axis=1)),
+                (weights.real, False, (f * weights.real).real.sum(axis=1)),
+                (weights.real, True, (np.abs(f) ** 2 * weights.real).sum(
+                    axis=1))):
+            series = folded_series(0.25, w, omega, times, factor, 40.0,
+                                   squared=squared)
+            np.testing.assert_allclose(series, 0.25 + direct, rtol=0,
+                                       atol=1e-12)
+
+    @pytest.mark.parametrize("factor", EXPONENTIAL_FACTORS)
+    def test_other_grids_take_one_row_per_anchor(self, factor):
+        rng = np.random.default_rng(5)
+        weights, omega = self.pairs(rng, 12)
+        times = np.linspace(0.0, 40.0, 17)
+        times[5] += 1e-3
+        assert dynamics.rows_per_anchor(times, len(omega)) == 1
+        assert dynamics.rows_per_anchor(np.array([3.0]), len(omega)) == 1
+        f = factor(omega, times[:, None], 40.0)
+        np.testing.assert_allclose(
+            folded_series(0.0, weights, omega, times, factor, 40.0),
+            (f * weights).real.sum(axis=1), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("factor", EXPONENTIAL_FACTORS)
+    @pytest.mark.parametrize("n", [2, 3, 17, 24000])
+    def test_zero_time_row_is_exact(self, factor, n):
+        # F(0) = 1 exactly, anchor and offset alike, so the t = 0 row is
+        # the constant plus the real parts of the weights, bit for bit
+        rng = np.random.default_rng(n)
+        times = np.linspace(0.0, 40.0, n)
+        for count in (1, 12, 40):
+            weights, omega = self.pairs(rng, count, dyadic=count > 1)
+            for w, squared in ((weights, False), (weights.real, False),
+                               (weights.real, True)):
+                series = folded_series(0.25, w, omega, times, factor, 40.0,
+                                       squared=squared)
+                assert series[0] == 0.25 + weights.real.sum()
+
+    @pytest.mark.parametrize("factor", EXPONENTIAL_FACTORS
+                             + (kick_count_factor,))
+    @pytest.mark.parametrize("squared", [False, True])
+    def test_no_kept_pairs_gives_the_constant(self, factor, squared):
+        times = np.linspace(0.0, 48.0, 24000)
+        series = folded_series(0.25, np.zeros(0, dtype=complex),
+                               np.zeros(0), times, factor, 40.0,
+                               squared=squared)
+        np.testing.assert_array_equal(series, np.full(24000, 0.25))
+
+    def test_sigma_z_without_drive_keeps_no_pair(self):
+        # sigma_z commutes with the undriven core: every pair weight is 0
+        p = SystemParams(lam=1.0, epsilon=0.0, delta=20.0, gamma=1e3,
+                         alpha=2.5, dcut=64)
+        series = closed_form_series(p, SIGMA_Z, np.linspace(0.0, 48.0, 24000))
+        np.testing.assert_array_equal(series, np.zeros(24000))
