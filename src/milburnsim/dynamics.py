@@ -2,7 +2,8 @@
 
 Routes:
   * the exact 2x2 propagator blocks of the effective Hamiltonian per
-    photon number and their assembly, for tests and validate, not run;
+    photon number, and effective_propagator, their block-diagonal
+    assembly in the displaced frame, for tests and validate, not run;
   * the series kernel: every density-matrix route is diagonal in the
     eigenbasis of H, so an observable's time series is one scalar factor
     per eigenfrequency (Milburn's, the windowed Poisson kick sum, the
@@ -13,9 +14,10 @@ Routes:
     eigenbasis from a dense eigh, the closed form from the 2x2 blocks;
   * state-level routes kept as independent references for that kernel:
     exact intrinsic-decoherence evolution as a Poisson-weighted sum of
-    repeated unitary kicks or in spectral closed form, a fixed-step RK4
-    integrator for the first-order (double-commutator) master equation,
-    and plain unitary (Schrodinger) evolution.
+    repeated unitary kicks (milburn_poisson_evolve) or in spectral
+    closed form (SpectralPropagator.evolve), a fixed-step RK4 integrator
+    for the first-order (double-commutator) master equation, and plain
+    unitary (Schrodinger) evolution.
 """
 
 import math
@@ -33,31 +35,6 @@ POISSON_MAX_TERMS = 100_000  # kick counts a Poisson window may hold
 HERMITIAN_TOL = 1e-9  # max |h - h^dag| a Hamiltonian may have
 
 
-@dataclass(frozen=True)
-class MilburnConfig:
-    gamma: float
-
-    def __post_init__(self):
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-
-
-@dataclass
-class TimeSeries:
-    """Ordered (t, value) records on a strictly increasing grid."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.values = np.asarray(self.values)
-        if self.times.shape != self.values.shape[:1]:
-            raise ValueError("times and values length mismatch")
-        if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
-            raise ValueError("times must be strictly increasing")
-
-
 class WindowBudgetError(RuntimeError):
     """Poisson window exceeds the term budget; use the spectral route."""
 
@@ -73,11 +50,6 @@ def block_propagators(t, p: SystemParams):
             - 1j * sinc_t[:, None, None] * effective_core_blocks(p))
 
 
-def core_propagator(t, p: SystemParams):
-    """Propagator of the undisplaced core: block_propagators assembled."""
-    return block_diagonal(block_propagators(t, p))
-
-
 def effective_propagator(t, p: SystemParams):
     """U(t) = D(beta) [block-diagonal core propagator] D^dag(beta).
 
@@ -85,7 +57,7 @@ def effective_propagator(t, p: SystemParams):
     this equals exp(-i H t) for that Hamiltonian.
     """
     disp = displaced_frame(p)
-    return disp @ core_propagator(t, p) @ disp.conj().T
+    return disp @ block_diagonal(block_propagators(t, p)) @ disp.conj().T
 
 
 def _check_hermitian(h):
@@ -123,31 +95,25 @@ def poisson_window(mean):
     return m_lo, m_hi
 
 
-def _kick_weights(t, gamma):
-    """Kick counts in the Poisson window at time t and their
-    probabilities, renormalized over the window."""
-    mean = gamma * t
-    m_lo, m_hi = poisson_window(mean)
-    kicks = np.arange(m_lo, m_hi + 1)
-    weights = poisson_pmf(kicks, mean)
-    return kicks, weights / weights.sum()
-
-
-def milburn_poisson_evolve(rho0, h, t, cfg: MilburnConfig):
+def milburn_poisson_evolve(rho0, h, t, gamma):
     """Exact intrinsic-decoherence evolution as a Poisson-weighted sum of
     repeated applications of the single kick U1 = exp(-i h / gamma).
 
     Weights are renormalized over the window of poisson_window, which
     discards a Poisson mass below 1e-10.
     """
+    if gamma <= 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
     _check_hermitian(h)
     rho0 = np.asarray(rho0, dtype=complex)
     if t == 0:
         return rho0.copy()
-    kicks, weights = _kick_weights(t, cfg.gamma)
+    m_lo, m_hi = poisson_window(gamma * t)
+    weights = poisson_pmf(np.arange(m_lo, m_hi + 1), gamma * t)
+    weights /= weights.sum()
 
-    u1 = matrix_exponential(-1j * np.asarray(h, dtype=complex) / cfg.gamma)
-    u_lo = np.linalg.matrix_power(u1, kicks[0])
+    u1 = matrix_exponential(-1j * np.asarray(h, dtype=complex) / gamma)
+    u_lo = np.linalg.matrix_power(u1, m_lo)
     rho_m = u_lo @ rho0 @ u_lo.conj().T
     out = weights[0] * rho_m
     for w in weights[1:]:
@@ -416,13 +382,12 @@ class SpectralPropagator:
     def _to_eigenbasis(self, m):
         return self.vectors.conj().T @ np.asarray(m, dtype=complex) @ self.vectors
 
-    def decay_factors(self, t):
-        """Milburn's factor at time t for every eigenpair, w = E_j - E_k."""
-        omega = self.energies[:, None] - self.energies[None, :]
-        return milburn_factor(omega, t, self.gamma)
-
     def evolve(self, rho0, t):
-        rho_e = self._to_eigenbasis(rho0) * self.decay_factors(t)
+        """rho(t) under Milburn's equation: rho0's eigenbasis entries times
+        Milburn's factor at w = E_j - E_k."""
+        omega = self.energies[:, None] - self.energies[None, :]
+        rho_e = (self._to_eigenbasis(rho0)
+                 * milburn_factor(omega, t, self.gamma))
         return self.vectors @ rho_e @ self.vectors.conj().T
 
     def folded_weights(self, rho0, op):
@@ -442,11 +407,6 @@ class SpectralPropagator:
         constant, weights, omega, _ = self.folded_weights(rho0, op)
         return folded_series(constant, weights, omega, times, factor,
                              self.gamma, squared=op is None)
-
-
-def milburn_spectral_evolve(rho0, h, t, gamma):
-    """Exact intrinsic-decoherence evolution in spectral closed form."""
-    return SpectralPropagator(h=h, gamma=gamma).evolve(rho0, t)
 
 
 class StepSizeError(RuntimeError):

@@ -86,11 +86,6 @@ def effective_core_blocks(p: SystemParams):
     return blocks
 
 
-def effective_core(p: SystemParams):
-    """Undisplaced core sz [chi N + delta_tilde] + eps s+ + eps* s-."""
-    return block_diagonal(effective_core_blocks(p))
-
-
 def displaced_photon_weights(p: SystemParams):
     """Photon weights of |alpha - beta>, the field of the core's frame at
     every time, as the core conserves photon number; refuses a cutoff
@@ -114,7 +109,7 @@ def effective_hamiltonian_displaced(p: SystemParams):
     Hermitian part, which drops the rounding skew of the products."""
     warn_if_not_dispersive(p)
     disp = displaced_frame(p)
-    h = disp @ effective_core(p) @ disp.conj().T
+    h = disp @ block_diagonal(effective_core_blocks(p)) @ disp.conj().T
     return 0.5 * (h + h.conj().T)
 
 

@@ -5,7 +5,6 @@ import numpy as np
 
 from .fock import (
     SIGMA_X,
-    SIGMA_Z,
     atom_field,
     coherent_state,
     density_from_state,
@@ -15,8 +14,7 @@ from .fock import (
 from .hamiltonians import (
     displaced_photon_weights, effective_core_blocks, rabi_blocks)
 from .params import SystemParams, warn_if_not_dispersive
-from .dynamics import (
-    TimeSeries, folded_pair_weights, folded_series, milburn_factor)
+from .dynamics import folded_pair_weights, folded_series, milburn_factor
 from dataclasses import dataclass
 
 ATOM_STATE = np.ones(2, dtype=complex) / np.sqrt(2.0)  # (|e> + |g>)/sqrt(2)
@@ -74,31 +72,24 @@ def sigma_x_closed_form(p: SystemParams, t):
     return closed_form_series(p, SIGMA_X, t)
 
 
-def sigma_x_from_state(rho):
-    """<sigma_x> of a joint density matrix."""
-    op = atom_field(SIGMA_X, identity_field(len(rho) // 2))
-    return float(expectation(rho, op).real)
-
-
-def atomic_inversion(rho):
-    """<sigma_z> of a joint density matrix."""
-    op = atom_field(SIGMA_Z, identity_field(len(rho) // 2))
-    return float(expectation(rho, op).real)
-
-
-def purity(rho):
-    """Tr(rho^2)."""
+def state_expectation(rho, atom_op):
+    """Tr(rho atom_op (x) I) of a joint density matrix, ``atom_op=None``:
+    the purity Tr(rho^2)."""
     rho = np.asarray(rho, dtype=complex)
-    return float(np.trace(rho @ rho).real)
+    if atom_op is None:
+        return float(np.trace(rho @ rho).real)
+    op = atom_field(atom_op, identity_field(len(rho) // 2))
+    return float(expectation(rho, op).real)
 
 
-def revival_metrics(series: TimeSeries, collapse_window, revival_window):
+def revival_metrics(times, values, collapse_window, revival_window):
     """Max |value| over the collapse window, max |value| and its location
     over the revival window.  Windows are (t_lo, t_hi) inclusive."""
-    values = np.abs(np.asarray(series.values, dtype=float))
+    times = np.asarray(times, dtype=float)
+    values = np.abs(np.asarray(values, dtype=float))
 
     def window_mask(lo, hi):
-        mask = (series.times >= lo) & (series.times <= hi)
+        mask = (times >= lo) & (times <= hi)
         if not np.any(mask):
             raise ValueError(f"window [{lo}, {hi}] contains no samples")
         return mask
@@ -110,5 +101,5 @@ def revival_metrics(series: TimeSeries, collapse_window, revival_window):
     return RevivalMetrics(
         collapse_floor=float(values[c_mask].max()),
         revival_peak=float(values[peak_idx]),
-        revival_time=float(series.times[peak_idx]),
+        revival_time=float(times[peak_idx]),
     )

@@ -198,6 +198,12 @@ class TestRunCommand:
         pytest.param(["--method", "poisson", "--gamma", "1e35",
                       "--steps", "3"], None, id="poisson-collapsed-window"),
         pytest.param(["--steps", "3"], _out_of_memory, id="out-of-memory"),
+        # more float64 values than numpy can size: refused by name before
+        # any allocation, not a ValueError from numpy
+        pytest.param(["--steps", "10000000000000000000"], None,
+                     id="steps-past-array-size"),
+        pytest.param(["--cutoff", "10000000000000000000"], None,
+                     id="cutoff-past-array-size"),
         # a series that comes out non-finite is refused before writing
         pytest.param(["--steps", "3"], _nan_column, id="non-finite-series"),
         # Delta_n is about 1e300: rounding the eigenfrequencies costs far
@@ -221,6 +227,15 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("numerical guard: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--steps", "--cutoff"])
+    def test_array_size_guard_names_the_flag(self, tmp_path, capsys, flag):
+        # the first count numpy cannot size as float64 values, 2^60
+        out = tmp_path / "x.csv"
+        code = main(run_args(flag, str(2**60), "--out", str(out)))
+        assert code == EXIT_GUARD
+        assert capsys.readouterr().err.startswith(
+            f"numerical guard: {flag} {2**60} ")
 
     @pytest.mark.parametrize("flags, reference", [
         # the default grid: tmax 12, 1200 steps, cutoff 64
@@ -524,14 +539,14 @@ class TestValidateCommand:
         assert "FAIL" not in out
 
     def test_injected_fault_is_caught(self, capsys, monkeypatch):
-        original = dynamics.core_propagator
+        original = dynamics.block_propagators
 
         def corrupted(t, p):
             u = original(t, p)
-            u[p.dcut:, p.dcut:] = -u[p.dcut:, p.dcut:]  # flip u22 sign
+            u[:, 1, 1] = -u[:, 1, 1]  # flip u22 sign
             return u
 
-        monkeypatch.setattr(dynamics, "core_propagator", corrupted)
+        monkeypatch.setattr(dynamics, "block_propagators", corrupted)
         assert main(["validate"]) == EXIT_VALIDATION
         out = capsys.readouterr().out
         assert "FAIL propagator-vs-dense-exponential" in out

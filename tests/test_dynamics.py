@@ -6,13 +6,10 @@ from hypothesis import strategies as st
 from milburnsim import dynamics
 from milburnsim.dynamics import (
     DROP_BUDGET,
-    MilburnConfig,
     SpectralPropagator,
     StepSizeError,
-    TimeSeries,
     WindowBudgetError,
     block_propagators,
-    core_propagator,
     effective_propagator,
     first_order_factor,
     folded_series,
@@ -20,7 +17,6 @@ from milburnsim.dynamics import (
     lindblad_first_order_evolve,
     milburn_factor,
     milburn_poisson_evolve,
-    milburn_spectral_evolve,
     prune_weights,
     rabi_blocks,
     schrodinger_evolve,
@@ -36,7 +32,7 @@ from milburnsim.fock import (
 )
 from milburnsim.hamiltonians import effective_hamiltonian_displaced
 from milburnsim.observables import (
-    atomic_inversion, closed_form_series, initial_density, purity)
+    closed_form_series, initial_density, state_expectation)
 from milburnsim.params import SystemParams, derived_params
 
 
@@ -142,15 +138,6 @@ class TestEffectivePropagator:
         idx = self._edge_free(fig1b.dcut)
         assert np.max(np.abs((u_a @ u_b - u_ab)[np.ix_(idx, idx)])) <= 1e-8
 
-    def test_block_assembly_layout(self, fig1b):
-        # the core propagator places each 2x2 block at (n, n+dcut) offsets
-        # and is zero off the blocks
-        dcut = fig1b.dcut
-        expected = np.zeros((2 * dcut, 2 * dcut), dtype=complex)
-        for n, blk in enumerate(block_propagators(0.9, fig1b)):
-            expected[np.ix_([n, n + dcut], [n, n + dcut])] = blk
-        np.testing.assert_array_equal(core_propagator(0.9, fig1b), expected)
-
 
 class TestSchrodingerEvolve:
     def test_zero_time(self, small_system):
@@ -184,25 +171,25 @@ class TestSchrodingerEvolve:
 class TestMilburnPoisson:
     def test_zero_time(self, small_system):
         _, h, rho0 = small_system
-        out = milburn_poisson_evolve(rho0, h, 0.0, MilburnConfig(gamma=50.0))
+        out = milburn_poisson_evolve(rho0, h, 0.0, 50.0)
         np.testing.assert_allclose(out, rho0)
 
     def test_trace_preserved(self, small_system):
         _, h, rho0 = small_system
-        out = milburn_poisson_evolve(rho0, h, 1.0, MilburnConfig(gamma=50.0))
+        out = milburn_poisson_evolve(rho0, h, 1.0, 50.0)
         assert abs(np.trace(out).real - 1.0) <= 1e-10
 
     def test_matches_spectral_route(self, small_system):
         _, h, rho0 = small_system
         for t in (0.5, 1.0, 2.0):
-            ra = milburn_poisson_evolve(rho0, h, t, MilburnConfig(gamma=50.0))
-            rb = milburn_spectral_evolve(rho0, h, t, 50.0)
+            ra = milburn_poisson_evolve(rho0, h, t, 50.0)
+            rb = SpectralPropagator(h, 50.0).evolve(rho0, t)
             assert np.max(np.abs(ra - rb)) <= 1e-9
 
     def test_window_budget_error(self, small_system):
         _, h, rho0 = small_system
         with pytest.raises(WindowBudgetError):
-            milburn_poisson_evolve(rho0, h, 10.0, MilburnConfig(gamma=1e7))
+            milburn_poisson_evolve(rho0, h, 10.0, 1e7)
 
     def test_window_discarded_mass_bound(self):
         from scipy.stats import poisson
@@ -222,16 +209,18 @@ class TestMilburnPoisson:
         with pytest.raises(WindowBudgetError):
             dynamics.poisson_window(1e36)
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            MilburnConfig(gamma=-1.0)
+    def test_config_validation(self, small_system):
+        _, h, rho0 = small_system
+        for gamma in (-1.0, 0.0):
+            with pytest.raises(ValueError):
+                milburn_poisson_evolve(rho0, h, 1.0, gamma)
 
 
 class TestMilburnSpectral:
     def test_zero_time(self, small_system):
         _, h, rho0 = small_system
-        np.testing.assert_allclose(milburn_spectral_evolve(rho0, h, 0.0, 50.0),
-                                   rho0, atol=1e-12)
+        np.testing.assert_allclose(
+            SpectralPropagator(h, 50.0).evolve(rho0, 0.0), rho0, atol=1e-12)
 
     def test_energy_populations_constant(self, small_system):
         _, h, rho0 = small_system
@@ -246,7 +235,7 @@ class TestMilburnSpectral:
                          alpha=2.5, dcut=32)
         h = displaced_hamiltonian(p)
         rho0 = initial_density(p)
-        r1 = milburn_spectral_evolve(rho0, h, 2.0, 1e10)
+        r1 = SpectralPropagator(h, 1e10).evolve(rho0, 2.0)
         r2 = schrodinger_evolve(rho0, h, 2.0)
         assert np.max(np.abs(r1 - r2)) <= 1e-6
 
@@ -280,7 +269,7 @@ class TestMilburnSpectral:
     def test_purity_non_increasing(self, small_system):
         _, h, rho0 = small_system
         prop = SpectralPropagator(h=h, gamma=1e3)
-        values = [purity(prop.evolve(rho0, t))
+        values = [state_expectation(prop.evolve(rho0, t), None)
                   for t in np.linspace(0.0, 5.0, 50)]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
@@ -290,9 +279,10 @@ class TestMilburnSpectral:
         h = displaced_hamiltonian(p)
         rho0 = initial_density(p)
         prop = SpectralPropagator(h=h, gamma=1e6)
-        base = atomic_inversion(rho0)
+        base = state_expectation(rho0, SIGMA_Z)
         for t in (0.5, 1.0, 3.0):
-            assert abs(atomic_inversion(prop.evolve(rho0, t)) - base) <= 1e-10
+            assert abs(state_expectation(prop.evolve(rho0, t), SIGMA_Z)
+                       - base) <= 1e-10
 
 
 class TestLindbladFirstOrder:
@@ -322,26 +312,15 @@ class TestRouteInvariants:
     def test_density_matrix_invariants(self, small_system, route):
         _, h, rho0 = small_system
         if route == "poisson":
-            rho = milburn_poisson_evolve(rho0, h, 1.5, MilburnConfig(gamma=40.0))
+            rho = milburn_poisson_evolve(rho0, h, 1.5, 40.0)
         elif route == "spectral":
-            rho = milburn_spectral_evolve(rho0, h, 1.5, 40.0)
+            rho = SpectralPropagator(h, 40.0).evolve(rho0, 1.5)
         else:
             dt = 0.01 / np.linalg.norm(h, 2)
             rho = lindblad_first_order_evolve(rho0, h, 1.5, 40.0, dt)
         assert abs(np.trace(rho).real - 1.0) <= 1e-9
         assert np.max(np.abs(rho - rho.conj().T)) <= 1e-10
         assert np.linalg.eigvalsh(rho).min() >= -1e-8
-
-
-class TestTimeSeries:
-    def test_rejects_non_increasing_times(self):
-        with pytest.raises(ValueError):
-            TimeSeries(times=np.array([0.0, 1.0, 1.0]),
-                       values=np.zeros(3))
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            TimeSeries(times=np.array([0.0, 1.0]), values=np.zeros(3))
 
 
 class TestSpectralExpectationSeries:
@@ -372,14 +351,13 @@ def _rk4_states(rho0, h, times, gamma):
 KERNEL_ROUTES = {
     "milburn": (
         milburn_factor,
-        lambda rho0, h, times, g: [milburn_spectral_evolve(rho0, h, t, g)
+        lambda rho0, h, times, g: [SpectralPropagator(h, g).evolve(rho0, t)
                                    for t in times],
         1e-12),
     "poisson": (
         kick_count_factor,
-        lambda rho0, h, times, g: [
-            milburn_poisson_evolve(rho0, h, t, MilburnConfig(gamma=g))
-            for t in times],
+        lambda rho0, h, times, g: [milburn_poisson_evolve(rho0, h, t, g)
+                                   for t in times],
         1e-12),
     "unitary": (
         unitary_factor,
@@ -412,7 +390,7 @@ class TestSeriesKernel:
                    atom_field(SIGMA_Z, identity_field(p.dcut)), None):
             series = prop.expectation_series(rho0, op, times, factor)
             if op is None:
-                reference = [purity(rho) for rho in states]
+                reference = [state_expectation(rho, None) for rho in states]
             else:
                 reference = [np.trace(rho @ op).real for rho in states]
             np.testing.assert_allclose(series.real, reference, rtol=0,
@@ -442,9 +420,11 @@ class TestSeriesKernel:
         x_e = prop.vectors.conj().T @ x_op @ prop.vectors
         times = np.linspace(0.0, 3.0, 11)
         j, k = np.triu_indices(2 * p.dcut, 1)
-        cases = ((x_op, rho_e * x_e.T, prop.decay_factors),
+        omega = prop.energies[:, None] - prop.energies[None, :]
+        cases = ((x_op, rho_e * x_e.T,
+                  lambda t: milburn_factor(omega, t, p.gamma)),
                  (None, np.abs(rho_e) ** 2,
-                  lambda t: np.abs(prop.decay_factors(t)) ** 2))
+                  lambda t: np.abs(milburn_factor(omega, t, p.gamma)) ** 2))
         for op, weights, factors in cases:
             # folded weights 2 w_jk for j < k; the diagonal is never dropped
             folded = 2.0 * weights[j, k]

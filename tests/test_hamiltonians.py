@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from milburnsim.fock import (
-    SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, atom_field, identity_field, number)
+    SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, atom_field, block_diagonal,
+    displacement, identity_field, number)
 from milburnsim.hamiltonians import (
     compare_operators,
-    effective_core,
     effective_core_blocks,
     effective_hamiltonian,
     effective_hamiltonian_displaced,
@@ -140,7 +140,7 @@ class TestDisplacedForm:
     def test_core_is_displaced_form_at_zero_displacement(self):
         # the inner core is exactly what the displacement conjugates
         p = SystemParams(lam=1.0, epsilon=0.5, delta=2.0, gamma=1.0, dcut=16)
-        core = effective_core(p)
+        core = block_diagonal(effective_core_blocks(p))
         assert np.max(np.abs(core - core.conj().T)) <= 1e-12
         d = derived_params(p)
         n = 3
@@ -148,7 +148,7 @@ class TestDisplacedForm:
 
     def test_core_diagonal_without_drive(self):
         p = SystemParams(lam=1.0, epsilon=0.0, delta=2.0, gamma=1.0, dcut=8)
-        core = effective_core(p)
+        core = block_diagonal(effective_core_blocks(p))
         d = derived_params(p)
         expected = np.concatenate([d.chi * np.arange(8) + d.delta_tilde,
                                    -(d.chi * np.arange(8) + d.delta_tilde)])
@@ -164,14 +164,14 @@ class TestDisplacedForm:
             atom_field(SIGMA_Z, d.chi * number(8) + d.delta_tilde * ident)
             + p.epsilon * atom_field(SIGMA_PLUS, ident)
             + np.conjugate(p.epsilon) * atom_field(SIGMA_MINUS, ident))
-        np.testing.assert_array_equal(effective_core(p), operator_form)
         blocks = effective_core_blocks(p)
+        np.testing.assert_array_equal(block_diagonal(blocks), operator_form)
         assert blocks.shape == (8, 2, 2)
         np.testing.assert_array_equal(blocks[3], operator_form[3::8, 3::8])
 
     def test_displacement_preserves_spectrum(self, fig1b):
         hd = effective_hamiltonian_displaced(fig1b)
-        hc = effective_core(fig1b)
+        hc = block_diagonal(effective_core_blocks(fig1b))
         ed = np.sort(np.linalg.eigvalsh(0.5 * (hd + hd.conj().T)))
         ec = np.sort(np.linalg.eigvalsh(hc))
         assert np.max(np.abs(ed[:40] - ec[:40])) <= 1e-8
@@ -180,6 +180,37 @@ class TestDisplacedForm:
         # exactly: callers use it without taking the Hermitian part
         h = effective_hamiltonian_displaced(fig1b)
         assert np.max(np.abs(h - h.conj().T)) == 0.0
+
+
+class TestExactRewriting:
+    """The expanded form is exactly a displaced core, but not the routes'
+    one: completing the square gives the coefficient +4 lam^2/delta and
+    b = -eps/(2 lam), where the routes use chi = -2 lam^2/delta and an
+    eps-independent beta."""
+
+    @pytest.mark.parametrize("epsilon, delta", [
+        (0.5, 2.0), (0.5 + 0.3j, 20.0), (0.0, 2.0)])
+    def test_expanded_form_is_a_displaced_core(self, epsilon, delta):
+        p = SystemParams(lam=1.0, epsilon=epsilon, delta=delta, gamma=1e3,
+                         alpha=1.0, dcut=16)
+        ident = identity_field(16)
+        shift = 4.0 * p.lam**2 / p.delta
+        constant = (2.0 * p.lam**2 / p.delta + 0.5 * p.delta
+                    - abs(epsilon) ** 2 / p.delta)
+        core = (atom_field(SIGMA_Z, shift * number(16) + constant * ident)
+                + epsilon * atom_field(SIGMA_PLUS, ident)
+                + np.conjugate(epsilon) * atom_field(SIGMA_MINUS, ident))
+        b = -epsilon / (2.0 * p.lam)
+        disp = atom_field(np.eye(2), displacement(b, 16))
+        rewritten = disp @ core @ disp.conj().T
+        assert compare_operators(effective_hamiltonian(p), rewritten,
+                                 8) <= 1e-12
+
+    @pytest.mark.parametrize("delta", [2.0, 20.0])
+    @pytest.mark.parametrize("epsilon", [0.0, 0.5, 0.5 + 0.3j])
+    def test_routes_displacement_ignores_the_drive(self, epsilon, delta):
+        p = SystemParams(lam=1.0, epsilon=epsilon, delta=delta, gamma=1e3)
+        assert derived_params(p).beta == 1.0 / (2.0 * p.lam)
 
 
 class TestSmallRotation:

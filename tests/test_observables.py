@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from milburnsim.dynamics import DROP_BUDGET, SpectralPropagator, TimeSeries
+from milburnsim.dynamics import DROP_BUDGET, SpectralPropagator
 from milburnsim.fock import (
     SIGMA_X,
     SIGMA_Z,
@@ -16,13 +16,11 @@ from milburnsim.fock import (
 )
 from milburnsim.hamiltonians import effective_hamiltonian_displaced
 from milburnsim.observables import (
-    atomic_inversion,
     closed_form_series,
     initial_density,
-    purity,
     revival_metrics,
     sigma_x_closed_form,
-    sigma_x_from_state,
+    state_expectation,
 )
 from milburnsim.params import (
     DispersiveValidityWarning, SystemParams, derived_params)
@@ -71,10 +69,8 @@ class TestClosedForm:
         h = effective_hamiltonian_displaced(p)
         prop = SpectralPropagator(h=h, gamma=p.gamma)
         states = [prop.evolve(initial_density(p), t) for t in times]
-        for from_state, atom_op in ((sigma_x_from_state, SIGMA_X),
-                                    (atomic_inversion, SIGMA_Z),
-                                    (purity, None)):
-            expected = [from_state(rho) for rho in states]
+        for atom_op in (SIGMA_X, SIGMA_Z, None):
+            expected = [state_expectation(rho, atom_op) for rho in states]
             closed = closed_form_series(p, atom_op, times)
             assert np.max(np.abs(closed - expected)) <= 1e-9
 
@@ -156,12 +152,14 @@ class TestClosedForm:
 
 class TestStateObservables:
     def test_initial_state_polarization(self, fig1b):
-        assert abs(sigma_x_from_state(initial_density(fig1b)) - 1.0) <= 1e-12
+        assert abs(state_expectation(initial_density(fig1b), SIGMA_X)
+                   - 1.0) <= 1e-12
 
     def test_excited_atom_polarization_vanishes(self):
         dcut = 32
         psi = np.kron([1.0, 0.0], coherent_state(1.5, dcut))
-        assert abs(sigma_x_from_state(density_from_state(psi))) <= 1e-12
+        assert abs(state_expectation(density_from_state(psi),
+                                     SIGMA_X)) <= 1e-12
 
     def test_cross_route_at_quarter_period(self, fig1a):
         t = np.pi / 2.0
@@ -170,52 +168,49 @@ class TestStateObservables:
 
     def test_initial_inversion_and_purity(self, fig1b):
         rho0 = initial_density(fig1b)
-        assert abs(atomic_inversion(rho0)) <= 1e-12
-        assert abs(purity(rho0) - 1.0) <= 1e-10
+        assert abs(state_expectation(rho0, SIGMA_Z)) <= 1e-12
+        assert abs(state_expectation(rho0, None) - 1.0) <= 1e-10
 
     def test_mixed_atom_purity(self):
         dcut = 8
         vac = np.zeros((dcut, dcut), dtype=complex)
         vac[0, 0] = 1.0
         rho = np.kron(0.5 * np.eye(2, dtype=complex), vac)
-        assert abs(atomic_inversion(rho)) <= 1e-12
-        assert abs(purity(rho) - 0.5) <= 1e-12
+        assert abs(state_expectation(rho, SIGMA_Z)) <= 1e-12
+        assert abs(state_expectation(rho, None) - 0.5) <= 1e-12
 
     def test_purity_bounded_after_decoherence(self, fig1b):
         h = effective_hamiltonian_displaced(fig1b)
         h = 0.5 * (h + h.conj().T)
         prop = SpectralPropagator(h=h, gamma=fig1b.gamma)
-        val = purity(prop.evolve(initial_density(fig1b), 2.0))
+        val = state_expectation(prop.evolve(initial_density(fig1b), 2.0),
+                                None)
         assert 0.0 < val <= 1.0 + 1e-12
 
 
 class TestRevivalMetrics:
     def test_constant_series(self):
         times = np.linspace(0.0, 10.0, 100)
-        series = TimeSeries(times=times, values=np.full(100, 0.4))
-        m = revival_metrics(series, (1.0, 3.0), (6.0, 9.0))
+        m = revival_metrics(times, np.full(100, 0.4), (1.0, 3.0), (6.0, 9.0))
         assert m.collapse_floor == pytest.approx(0.4)
         assert m.revival_peak == pytest.approx(0.4)
 
     def test_triangular_pulse_peak_location(self):
         times = np.linspace(0.0, 10.0, 1001)
         values = np.maximum(0.0, 1.0 - np.abs(times - 7.0))
-        m = revival_metrics(TimeSeries(times=times, values=values),
-                            (1.0, 3.0), (6.0, 8.0))
+        m = revival_metrics(times, values, (1.0, 3.0), (6.0, 8.0))
         assert m.revival_time == pytest.approx(7.0, abs=1e-9)
         assert m.revival_peak == pytest.approx(1.0)
 
     def test_empty_window(self):
         times = np.linspace(0.0, 1.0, 10)
-        series = TimeSeries(times=times, values=np.zeros(10))
         with pytest.raises(ValueError):
-            revival_metrics(series, (5.0, 6.0), (0.0, 1.0))
+            revival_metrics(times, np.zeros(10), (5.0, 6.0), (0.0, 1.0))
 
     def test_revival_near_dispersive_period(self, fig1a):
         times = np.linspace(0.0, 12.0, 2400)
         values = sigma_x_closed_form(fig1a, times)
-        m = revival_metrics(TimeSeries(times=times, values=values),
-                            (1.5, 2.5), (2.9, 3.4))
+        m = revival_metrics(times, values, (1.5, 2.5), (2.9, 3.4))
         assert abs(m.revival_time - np.pi) <= 0.2
 
     def test_decoherence_degrades_revival(self, fig1b, fig1c):
@@ -223,7 +218,6 @@ class TestRevivalMetrics:
         peaks = {}
         for p in (fig1b, fig1c):
             values = sigma_x_closed_form(p, times)
-            m = revival_metrics(TimeSeries(times=times, values=values),
-                                (1.5, 2.5), (2.9, 3.4))
+            m = revival_metrics(times, values, (1.5, 2.5), (2.9, 3.4))
             peaks[p.gamma] = m.revival_peak
         assert peaks[1e3] < peaks[1e6]
