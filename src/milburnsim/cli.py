@@ -173,12 +173,15 @@ def compute_series(cfg: RunConfig):
 
     Returns (times, columns) with one column per observable.
     """
-    # numpy refuses an array of more than intp max bytes with a ValueError
-    limit = np.iinfo(np.intp).max // 8
-    for flag, count in (("steps", cfg.steps), ("cutoff", cfg.dcut)):
-        if count > limit:
-            raise MemoryError(f"--{flag} {count} is more than the {limit} "
-                              "float64 values an array can hold")
+    # numpy refuses an array of more than intp max bytes with a ValueError;
+    # every route but the closed form builds a (2 cutoff)^2 complex matrix
+    cutoff_bytes = (8 * cfg.dcut if METHODS[cfg.method] is None
+                    else 16 * (2 * cfg.dcut) ** 2)
+    for flag, count, size in (("steps", cfg.steps, 8 * cfg.steps),
+                              ("cutoff", cfg.dcut, cutoff_bytes)):
+        if size > np.iinfo(np.intp).max:
+            raise MemoryError(f"--{flag} {count} needs an array of {size} "
+                              "bytes, more than numpy can size")
     times = np.linspace(0.0, cfg.tmax, cfg.steps)
     ops = [ATOM_OPERATORS[name] for name in cfg.observables]
     if METHODS[cfg.method] is None:
@@ -214,14 +217,20 @@ def _write_atomic(path, chunks):
         raise
 
 
-# _format_fixed lays each value out in 40 bytes, ten '<u4' words: a
-# spare word, 16 integer digits, '.' and 15 fraction digits, then the
-# separator and 3 pad bytes.  _DIGITS4[k] holds the 4 ASCII digits of k,
-# the first in the low byte; _KEEP[s] keeps bytes s to 36 of a value.
+# _format_fixed lays each value out in '<u4' words: a lead word (NUL pad,
+# '-' where the sign bit is set, then the top 0 to 3 integer digits),
+# g = 0..4 further 4-digit integer groups, four words of '.' and the 15
+# fraction digits, and a separator word (',' or LF, then NUL pad).  The
+# block's largest integer part, after rounding, sets g.  A value narrower
+# than that slot has its leading zeros set to NUL, and every NUL is
+# dropped.  _DIGITS4[k] holds the 4 ASCII digits of k, the first in the
+# low byte; _LEAD[k + 1000 * signbit] is the lead word of top digits k.
 _PAIRS = np.arange(100) // 10 + 48 | (np.arange(100) % 10 + 48) << 8
 _DIGITS4 = (_PAIRS[:, None] | _PAIRS << 16).ravel().astype("<u4")
-_POW10 = 10 ** np.arange(1, 16, dtype=np.int64)
-_KEEP = (np.arange(40) >= np.arange(21)[:, None]) & (np.arange(40) < 37)
+_LEAD = np.frombuffer(b"".join((sign + str(k)).encode().rjust(4, b"\0")
+                               for sign in ("", "-") for k in range(1000)),
+                      dtype="<u4")
+_WIDER = 10.0 ** np.arange(3, 16, 4)  # the least integer parts of g = 1..4
 _SPLIT = 2.0**27 + 1.0  # Veltkamp's splitter for binary64
 _E15_HI = _SPLIT * 1e15 - (_SPLIT * 1e15 - 1e15)
 _E15_LO = 1e15 - _E15_HI
@@ -231,49 +240,65 @@ def _format_fixed(block, row):
     """The bytes (a buffer) of (row * len(block)) % tuple(block.ravel()),
     for a 2-D block and a row template of '%.15f' fields, ',' between them
     and LF after: each value rounded half-even on its exact binary value, '-'
-    where the sign bit is set.  A block holding a non-finite value or one
-    of modulus 2^52 or more goes to `%` itself."""
+    where the sign bit is set.  The integer slot of every value is as wide
+    as the block's largest integer part needs.  A block holding a
+    non-finite value or one of modulus 2^52 or more goes to `%` itself."""
     a = np.abs(block)
-    if not np.all(a < 2.0**52):
+    if not a.max() < 2.0**52:
         return ((row * len(block)) % tuple(block.ravel().tolist())).encode()
     whole = np.floor(a)
-    f = a - whole
-    # f * 1e15 = p + e exactly (Dekker's product); rint(p) errs only where
-    # p is a tie that e breaks
+    f = np.subtract(a, whole, out=a)
     p = f * 1e15
-    fh = _SPLIT * f - (_SPLIT * f - f)
-    fl = f - fh
-    e = ((fh * _E15_HI - p) + fh * _E15_LO + fl * _E15_HI) + fl * _E15_LO
     n = np.rint(p)
-    n += (p - n == 0.5) & (e > 0)
-    n -= (p - n == -0.5) & (e < 0)  # p - n is exact
-    parts = np.stack([whole, n], axis=-1).astype(np.int64)
-    del a, whole, f, p, fh, fl, e, n  # the layout takes 40 bytes a value
-    carry = parts[..., 1] == 10**15
-    parts[..., 0] += carry
-    parts[..., 1] -= carry * 10**15
-    lead = 19 - np.searchsorted(_POW10, parts[..., 0], side="right")
-    words = np.empty(block.shape + (10,), dtype="<u4")
-    for k in (3, 2, 1, 0):  # the 4-digit groups of both parts, last first
-        q = parts // 10000
-        words[..., 1 + k:9:4] = _DIGITS4[parts - 10000 * q]
-        parts = q
-    words[..., 5] -= 2  # the fraction's leading '0' (it is below 1000) to '.'
-    words[..., 9] = ord(",")
-    words[:, -1, 9] = ord("\n")
-    text = words.view(np.uint8).reshape(-1, 40)
-    # a '-' before every value, kept only where the sign bit is set
-    text[np.arange(len(text)), lead.ravel() - 1] = ord("-")
-    return text[_KEEP[lead - np.signbit(block)].reshape(-1, 40)]
+    p -= n  # rint's rounding error, exact
+    # f * 1e15 = fl(f * 1e15) + e exactly (Dekker's product); rint errs
+    # only at a tie (an error of +-0.5) where e has the error's sign
+    tie = np.flatnonzero(np.abs(p) == 0.5)
+    if tie.size:
+        f, half = f.flat[tie], p.flat[tie]
+        fh = _SPLIT * f - (_SPLIT * f - f)
+        fl = f - fh
+        e = (((fh * _E15_HI - f * 1e15) + fh * _E15_LO + fl * _E15_HI)
+             + fl * _E15_LO)
+        n.flat[tie] += np.where(half * e > 0, 2 * half, 0.0)
+    del a, f, p  # the peak memory is that of the layout below
+    carry = np.flatnonzero(n == 1e15)
+    whole.flat[carry] += 1.0
+    n.flat[carry] = 0.0
+    g = int(np.searchsorted(_WIDER, whole.max(), side="right"))
+    words = np.empty(block.shape + (6 + g,), dtype="<u4")
+    _put_groups(words, range(-5, -1), n.astype(np.int64))
+    words[..., -5] -= 2  # the fraction's leading '0' (it is below 1000) to '.'
+    top = _put_groups(words, range(1, g + 1), whole.astype(np.int64))
+    words[..., 0] = _LEAD[top + 1000 * np.signbit(block)]
+    words[..., -1] = ord(",")
+    words[:, -1, -1] = ord("\n")
+    text = words.view(np.uint8).reshape(block.shape + (-1,))
+    if g:  # the lead's '0' and the groups' leading zeros to NUL
+        text[..., 3:4 + 4 * g] *= whole[..., None] >= np.append(
+            10.0 ** np.arange(4 * g, 0, -1), 0.0)
+    del whole, n, top
+    return text[text != 0]
+
+
+def _put_groups(words, columns, x):
+    """Write the int64 x's 4-digit groups, last first, to the word columns
+    and return what is left of x."""
+    for k in reversed(columns):
+        q = x // 10000
+        words[..., k] = _DIGITS4[x - 10000 * q]
+        x = q
+    return x
 
 
 def write_csv(path, times, columns, names, header_comments=()):
     """Fixed-precision, LF-terminated CSV; byte-stable for a given input.
 
     Every value is written as '%.15f' writes it, by _format_fixed, in
-    blocks of at most SERIES_BLOCK values, and the file is written
-    atomically; the formatted text held at once does not grow with the
-    row count.
+    blocks of at most SERIES_BLOCK values; each block's values take 24
+    bytes of layout, 4 more for each further 4 integer digits its largest
+    value needs.  The file is written atomically, and the formatted text
+    held at once does not grow with the row count.
     """
     table = np.column_stack([times, *columns])
     row = ",".join(["%.15f"] * table.shape[1]) + "\n"

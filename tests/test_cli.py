@@ -237,6 +237,25 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith(
             f"numerical guard: {flag} {2**60} ")
 
+    def test_dense_cutoff_guard_builds_nothing(self, tmp_path, capsys,
+                                               monkeypatch):
+        # a (2 * 2^31)^2 complex matrix is 2^68 bytes: refused before the
+        # Hamiltonian or the initial state is built
+        def unreachable(*args):
+            raise AssertionError("a cutoff-sized array was built")
+
+        monkeypatch.setitem(cli.METHODS, "spectral",
+                            (unreachable, cli.METHODS["spectral"][1]))
+        monkeypatch.setattr(cli, "initial_density", unreachable)
+        out = tmp_path / "x.csv"
+        code = main(run_args("--cutoff", str(2**31), "--method", "spectral",
+                             "--out", str(out)))
+        assert code == EXIT_GUARD
+        assert list(tmp_path.iterdir()) == []
+        guard = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("numerical guard: ")]
+        assert len(guard) == 1 and f"--cutoff {2**31} " in guard[0]
+
     @pytest.mark.parametrize("flags, reference", [
         # the default grid: tmax 12, 1200 steps, cutoff 64
         pytest.param(["--epsilon", "0.5", "--gamma", "1000"], "spectral",
@@ -451,6 +470,34 @@ class TestFixedPointFormat:
         float("inf"), -float("inf"), float("nan")])
     def test_fallback_values(self, value):
         block = np.array([[0.25, value], [-0.0, 1.0 / 3.0]])
+        assert fixed_text(block) == percent_text(block)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 30).flatmap(lambda rows: st.tuples(
+        arrays(np.float64, (rows, 2), elements=st.floats(-1.0, 1.0)),
+        arrays(np.int64, (rows, 2), elements=st.integers(0, 15)))))
+    def test_mixed_widths(self, drawn):
+        # moduli from below 1 to 1e15: the largest sets the integer slot
+        # of every value in the block
+        mantissa, exponent = drawn
+        block = mantissa * 10.0**exponent
+        assert fixed_text(block) == percent_text(block)
+
+    @pytest.mark.parametrize("value", [
+        # each slot width's largest integer part and the next width's least
+        *(v for w in (1e3, 1e7, 1e11, 1e15) for v in (np.nextafter(w, 0), w)),
+        # rounding carries: they need a fraction above 1 - 5e-16, which
+        # only moduli below 4 have, so none crosses a width boundary
+        # (999.9999999999999995 is the double 1000.0)
+        3.9999999999999996, 0.9999999999999999,
+        # integer parts around 2^31
+        2.0**31 - 0.5, 2.0**31, 2.0**31 + 0.5, 2.0**32 - 1.0,
+        0.0, -0.0,
+    ])
+    @pytest.mark.parametrize("wide", [0.5, 1e3, 1e7, 1e11, 1e15, 2.0**52 - 1.0])
+    def test_width_edges(self, value, wide):
+        # a value in the slot that the block's widest value sets
+        block = np.array([[value, -value], [wide, -0.0], [0.0, -wide]])
         assert fixed_text(block) == percent_text(block)
 
 
