@@ -192,9 +192,9 @@ def compute_series(cfg: RunConfig):
     hamiltonian, factor = METHODS[cfg.method]
     prop = SpectralPropagator(h=hamiltonian(cfg), gamma=cfg.gamma)
     rho0 = initial_density(cfg)
-    return times, [prop.expectation_series(
-        rho0, None if op is None else atom_field(op, identity_field(cfg.dcut)),
-        times, factor) for op in ops]
+    return times, prop.expectation_series(rho0, [
+        None if op is None else atom_field(op, identity_field(cfg.dcut))
+        for op in ops], times, factor)
 
 
 def _write_atomic(path, chunks):

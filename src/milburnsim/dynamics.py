@@ -11,7 +11,8 @@ Routes:
     folded_pair_weights folds onto half the eigenpairs, summed by
     folded_series: per eigenpair in real arithmetic, or for the kick sum
     (KickCountFactor) over the kick count.  SpectralPropagator takes the
-    eigenbasis from a dense eigh, the closed form from the 2x2 blocks;
+    eigenbasis from a dense eigh, in float64 for a real h, the closed
+    form from the 2x2 blocks;
   * state-level routes kept as independent references for that kernel:
     exact intrinsic-decoherence evolution as a Poisson-weighted sum of
     repeated unitary kicks (milburn_poisson_evolve) or in spectral
@@ -234,11 +235,15 @@ def _kick_sums(kicks, weights, theta):
     wr, wi = weights.real, weights.imag
     out = np.empty(len(kicks))
     chunk = max(1, SERIES_BLOCK // max(1, len(theta)))
+    # work arrays, reused: a fresh one per chunk can cost a page fault
+    # per page, once it is too large for the allocator's heap
+    work = np.empty((2, min(chunk, len(kicks)), len(theta)))
     for s in range(0, len(kicks), chunk):
-        phases = np.multiply.outer(kicks[s:s + chunk], theta)
-        out[s:s + chunk] = np.cos(phases) @ wr
+        k = kicks[s:s + chunk]
+        phases = np.multiply.outer(k, theta, out=work[0, :len(k)])
+        out[s:s + chunk] = np.cos(phases, out=work[1, :len(k)]) @ wr
         if wi.any():
-            out[s:s + chunk] += np.sin(phases) @ wi
+            out[s:s + chunk] += np.sin(phases, out=work[1, :len(k)]) @ wi
     return out
 
 
@@ -363,11 +368,21 @@ def folded_series(constant, weights, omega, times, factor, gamma,
     return factor.series(weights, omega, times, gamma, squared) + constant
 
 
+def _real_if_real(m):
+    """m as a float64 array if it has no imaginary part, else as complex."""
+    m = np.asarray(m)
+    if np.iscomplexobj(m) and not m.imag.any():
+        return m.real
+    return m.astype(np.result_type(m, float), copy=False)
+
+
 @dataclass
 class SpectralPropagator:
     """Eigendecomposition of h and the series kernel of every
-    density-matrix route.  Read-only after construction; safe to share
-    across workers."""
+    density-matrix route.  A real h (no imaginary part, whatever its
+    dtype) is diagonalised in float64 and its eigenvectors are real; a
+    real rho0 or operator then reaches the eigenbasis in float64 too.
+    Read-only after construction; safe to share across workers."""
 
     h: np.ndarray
     gamma: float
@@ -375,12 +390,13 @@ class SpectralPropagator:
     vectors: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        h = np.asarray(self.h, dtype=complex)
+        h = _real_if_real(self.h)
         _check_hermitian(h)
         self.energies, self.vectors = np.linalg.eigh(h)
 
     def _to_eigenbasis(self, m):
-        return self.vectors.conj().T @ np.asarray(m, dtype=complex) @ self.vectors
+        """V^dag m V: in float64 when V and m are real, else complex."""
+        return self.vectors.conj().T @ _real_if_real(m) @ self.vectors
 
     def evolve(self, rho0, t):
         """rho(t) under Milburn's equation: rho0's eigenbasis entries times
@@ -390,23 +406,29 @@ class SpectralPropagator:
                  * milburn_factor(omega, t, self.gamma))
         return self.vectors @ rho_e @ self.vectors.conj().T
 
-    def folded_weights(self, rho0, op):
-        """folded_pair_weights over every eigenpair of h; op=None: purity."""
+    def folded_weights(self, rho0, ops):
+        """folded_pair_weights over every eigenpair of h, one tuple per
+        operator of ops (None: purity), from one eigenbasis image of rho0."""
         rho_e = self._to_eigenbasis(rho0)
-        weights = (np.abs(rho_e) ** 2 if op is None
-                   else rho_e * self._to_eigenbasis(op).T)
-        j, k = np.triu_indices(len(weights), 1)
-        return folded_pair_weights(np.trace(weights).real, weights[j, k],
-                                   self.energies[j] - self.energies[k])
+        j, k = np.triu_indices(len(rho_e), 1)
+        omega = self.energies[j] - self.energies[k]
+        out = []
+        for op in ops:
+            weights = (np.abs(rho_e) ** 2 if op is None
+                       else rho_e * self._to_eigenbasis(op).T)
+            out.append(folded_pair_weights(np.trace(weights).real,
+                                           weights[j, k], omega))
+        return out
 
-    def expectation_series(self, rho0, op, times, factor=milburn_factor):
-        """Tr(rho(t) op) on a time grid, ``op=None`` for the purity
-        Tr(rho(t)^2), without building any density matrix: folded_series
-        over folded_weights with the route's ``factor(omega, t, gamma)``.
-        Returns a float array."""
-        constant, weights, omega, _ = self.folded_weights(rho0, op)
-        return folded_series(constant, weights, omega, times, factor,
-                             self.gamma, squared=op is None)
+    def expectation_series(self, rho0, ops, times, factor=milburn_factor):
+        """Tr(rho(t) op) on a time grid for each operator of ops, ``None``
+        for the purity Tr(rho(t)^2), without building any density matrix:
+        folded_series over folded_weights with the route's
+        ``factor(omega, t, gamma)``.  Returns one float array per operator."""
+        return [folded_series(constant, weights, omega, times, factor,
+                              self.gamma, squared=op is None)
+                for op, (constant, weights, omega, _)
+                in zip(ops, self.folded_weights(rho0, ops))]
 
 
 class StepSizeError(RuntimeError):

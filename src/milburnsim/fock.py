@@ -1,7 +1,9 @@
 """Truncated Fock-space linear algebra.
 
-Dense complex matrices throughout.  Field operators live on a truncated
-photon-number basis 0..dcut-1; joint operators on the atom (x) field space
+Dense matrices: complex, except the displacement D(beta) of a real beta,
+which is float64 (hamiltonians builds float64 Hamiltonians from it and
+real field factors).  Field operators live on a truncated photon-number
+basis 0..dcut-1; joint operators on the atom (x) field space
 use atom-major ordering with the excited state first, so index s*dcut + n
 means atomic level s (0 = |e>, 1 = |g>) and photon number n.
 """
@@ -60,8 +62,8 @@ def displacement(beta, dcut):
     truncated: the exact exponential of the truncated generator for any
     finite beta.  G is anti-Hermitian, so with iG = V diag(e) V^dag (eigh)
     D = V diag(exp(-i e)) V^dag.  A real beta gives a real G and an
-    exactly real D, as Pade expm does: the series kernel then keeps real
-    weights and skips their sine term."""
+    exactly real D, as Pade expm does, returned as float64: the series
+    kernel then keeps real weights and skips their sine term."""
     _check_cutoff(dcut)
     if not np.isfinite(beta):
         raise ValueError("displacement amplitude must be finite")
@@ -69,7 +71,7 @@ def displacement(beta, dcut):
     e, v = np.linalg.eigh(1j * (beta * a.conj().T - np.conjugate(beta) * a))
     d = (v * np.exp(-1j * e)) @ v.conj().T
     if np.imag(beta) == 0:
-        d.imag = 0.0  # rounding only
+        return d.real.copy()  # the imaginary part is rounding only
     return d
 
 

@@ -17,7 +17,6 @@ from .fock import (
     SIGMA_Z,
     annihilation,
     atom_field,
-    block_diagonal,
     creation,
     displacement,
     identity_field,
@@ -29,14 +28,14 @@ from .params import SystemParams, derived_params, warn_if_not_dispersive
 
 
 def interaction_hamiltonian(p: SystemParams):
-    """H_I = delta sz/2 + lam (a^dag s- + s+ a) + eps s+ + eps* s-."""
-    ident = identity_field(p.dcut)
-    h = 0.5 * p.delta * atom_field(SIGMA_Z, ident)
-    h += p.lam * atom_field(SIGMA_MINUS, creation(p.dcut))
-    h += p.lam * atom_field(SIGMA_PLUS, annihilation(p.dcut))
-    h += p.epsilon * atom_field(SIGMA_PLUS, ident)
-    h += np.conjugate(p.epsilon) * atom_field(SIGMA_MINUS, ident)
-    return h
+    """H_I = delta sz/2 + lam (a^dag s- + s+ a) + eps s+ + eps* s-, written
+    as its atom blocks [[delta/2, lam a + eps], [lam a^dag + eps*,
+    -delta/2]] of field operators: float64 when eps is real."""
+    a = annihilation(p.dcut).real
+    ident = np.eye(p.dcut)
+    half = 0.5 * p.delta * ident
+    return np.block([[half, p.lam * a + p.epsilon * ident],
+                     [p.lam * a.T + np.conjugate(p.epsilon) * ident, -half]])
 
 
 def effective_hamiltonian(p: SystemParams):
@@ -105,11 +104,21 @@ def displaced_frame(p: SystemParams):
 
 def effective_hamiltonian_displaced(p: SystemParams):
     """D(beta) {sz [chi N + delta_tilde] + eps s+ + eps* s-} D^dag(beta),
-    with the displacement acting on the field factor only.  Returns the
-    Hermitian part, which drops the rounding skew of the products."""
+    with the displacement acting on the field factor only: the atom
+    blocks [[D diag(Delta) D^dag, eps D D^dag], [eps* D D^dag,
+    -D diag(Delta) D^dag]] of (I (x) D) blockdiag(h_n) (I (x) D^dag), from
+    products of the dcut x dcut field factors, in float64 when beta and
+    eps are real.  Returns the Hermitian part, which drops the rounding
+    skew of the products."""
     warn_if_not_dispersive(p)
-    disp = displaced_frame(p)
-    h = disp @ block_diagonal(effective_core_blocks(p)) @ disp.conj().T
+    displaced_photon_weights(p)
+    d = displacement(derived_params(p).beta, p.dcut)
+    detuned, _ = rabi_blocks(p, np.arange(p.dcut))
+    # each product scales D first, as (I (x) D) blockdiag(h_n) does
+    shift, drive, drive_conj = (
+        (d * x) @ d.conj().T
+        for x in (detuned, p.epsilon, np.conjugate(p.epsilon)))
+    h = np.block([[shift, drive], [drive_conj, -shift]])
     return 0.5 * (h + h.conj().T)
 
 

@@ -100,8 +100,8 @@ def test_criterion_3_closed_form_vs_state_evolution():
     for label, p in FIG1.items():
         h = displaced_hamiltonian(p)
         prop = SpectralPropagator(h=h, gamma=p.gamma)
-        state_route = prop.expectation_series(initial_density(p), x_op,
-                                              times).real
+        state_route = prop.expectation_series(initial_density(p), [x_op],
+                                              times)[0]
         closed = sigma_x_closed_form(p, times)
         worst = max(worst, float(np.max(np.abs(state_route - closed))))
     c.finish(worst <= 1e-8, f"max gap over 3 parameter sets = {worst:.2e}")

@@ -156,6 +156,22 @@ class TestRunCommand:
         gap = np.abs(columns["closed-form"] - columns["spectral"]).max(axis=0)
         assert np.all(gap <= 1e-11), gap
 
+    @pytest.mark.parametrize("drive", [
+        pytest.param([], id="real-drive"),
+        pytest.param(["--epsilon-im", "0.3"], id="complex-drive")])
+    def test_spectral_matches_closed_form_on_every_column(self, drive):
+        # fig1(b) at the default grid (tmax 12, 1200 steps, cutoff 64): a
+        # real drive takes the float64 eigenbasis, a complex one does not
+        cfg = build_run_config(build_parser().parse_args(run_args(
+            "--method", "spectral", "--epsilon", "0.5", *drive,
+            "--gamma", "1000", "--alpha", "2.5",
+            "--observables", "sigma_x,sigma_z,purity")))
+        times, columns = cli.compute_series(cfg)
+        for name, column in zip(cfg.observables, columns):
+            reference = observables.closed_form_series(
+                cfg, cli.ATOM_OPERATORS[name], times)
+            assert np.max(np.abs(column - reference)) <= 1e-9, name
+
     def test_invalid_method_writes_nothing(self, tmp_path):
         out = tmp_path / "x.csv"
         code = main(run_args("--method", "nonsense", "--out", str(out)))

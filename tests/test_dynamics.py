@@ -285,6 +285,38 @@ class TestMilburnSpectral:
                        - base) <= 1e-10
 
 
+class TestRealArithmetic:
+    """A real h is diagonalised and its basis changed in float64; the same
+    problem conjugated by a diagonal phase unitary U = diag(e^{i phi_k})
+    is complex, with the same spectrum and the same series."""
+
+    @pytest.mark.parametrize("factor", [
+        milburn_factor, first_order_factor, unitary_factor,
+        kick_count_factor])
+    def test_real_and_complex_paths_agree(self, factor):
+        p = SystemParams(lam=1.0, epsilon=0.5, delta=2.0, gamma=40.0,
+                         alpha=1.0, dcut=16)
+        h, rho0 = effective_hamiltonian_displaced(p), initial_density(p)
+        ops = [atom_field(SIGMA_X, identity_field(p.dcut)),
+               atom_field(SIGMA_Z, identity_field(p.dcut)), None]
+        phase = np.exp(1j * np.random.default_rng(3).uniform(
+            0.0, 2.0 * np.pi, len(h)))
+
+        def rotate(m):  # U m U^dag
+            return None if m is None else phase[:, None] * m * phase.conj()
+
+        real = SpectralPropagator(h, p.gamma)
+        rotated = SpectralPropagator(rotate(h), p.gamma)
+        assert real.vectors.dtype == np.float64
+        assert rotated.vectors.dtype == np.complex128
+        times = np.linspace(0.0, 1.5, 7)
+        for a, b in zip(
+                real.expectation_series(rho0, ops, times, factor),
+                rotated.expectation_series(
+                    rotate(rho0), [rotate(op) for op in ops], times, factor)):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+
 class TestLindbladFirstOrder:
     def test_unitary_limit(self, small_system):
         _, h, rho0 = small_system
@@ -329,7 +361,7 @@ class TestSpectralExpectationSeries:
         prop = SpectralPropagator(h=h, gamma=1e3)
         x_op = atom_field(SIGMA_X, identity_field(p.dcut))
         times = np.linspace(0.0, 3.0, 15)
-        fast = prop.expectation_series(rho0, x_op, times).real
+        fast, = prop.expectation_series(rho0, [x_op], times)
         slow = [np.trace(prop.evolve(rho0, t) @ x_op).real for t in times]
         np.testing.assert_allclose(fast, slow, atol=1e-11)
 
@@ -388,7 +420,7 @@ class TestSeriesKernel:
         prop = SpectralPropagator(h=h, gamma=p.gamma)
         for op in (atom_field(SIGMA_X, identity_field(p.dcut)),
                    atom_field(SIGMA_Z, identity_field(p.dcut)), None):
-            series = prop.expectation_series(rho0, op, times, factor)
+            series, = prop.expectation_series(rho0, [op], times, factor)
             if op is None:
                 reference = [state_expectation(rho, None) for rho in states]
             else:
@@ -403,12 +435,12 @@ class TestSeriesKernel:
         x_op = atom_field(SIGMA_X, identity_field(p.dcut))
         times = np.linspace(0.0, 1.5, 7)
         factors = (milburn_factor, kick_count_factor)
-        whole = [prop.expectation_series(rho0, op, times, f)
-                 for f in factors for op in (x_op, None)]
+        whole = [series for f in factors for series in
+                 prop.expectation_series(rho0, (x_op, None), times, f)]
         # blocks of one time row, kick sums in chunks of one kick count
         monkeypatch.setattr(dynamics, "SERIES_BLOCK", 1)
-        blocked = [prop.expectation_series(rho0, op, times, f)
-                   for f in factors for op in (x_op, None)]
+        blocked = [series for f in factors for series in
+                   prop.expectation_series(rho0, (x_op, None), times, f)]
         for a, b in zip(whole, blocked):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
 
@@ -432,11 +464,11 @@ class TestSeriesKernel:
             assert 0.0 < dropped <= DROP_BUDGET == 1e-14
             lost = np.delete(folded, keep)
             assert np.sum(np.abs(lost)) == pytest.approx(dropped, rel=1e-12)
-            assert prop.folded_weights(rho0, op)[3] == dropped
+            assert prop.folded_weights(rho0, [op])[0][3] == dropped
             # |Re(2 w_jk F)| <= 2 |w_jk| for every factor, so the unpruned
             # sum differs from the kernel by at most the dropped weight
             full = [np.sum(weights * factors(t)) for t in times]
-            series = prop.expectation_series(rho0, op, times)
+            series, = prop.expectation_series(rho0, [op], times)
             assert np.max(np.abs(series - full)) <= dropped + 1e-14
 
 
@@ -500,13 +532,14 @@ def assert_matches_unfolded_sum(h, rho, op, gamma, times, factors):
         f = direct(omega, times[:, None], gamma)
         for obs, full in ((op, f @ (rho_e * op_e.T).ravel()),
                           (None, np.abs(f) ** 2 @ np.abs(rho_e).ravel() ** 2)):
-            constant, weights, freqs, dropped = prop.folded_weights(rho, obs)
+            (constant, weights, freqs, dropped), = prop.folded_weights(
+                rho, [obs])
             series = folded_series(constant, weights, freqs, times, factor,
                                    gamma, squared=obs is None)
             assert series.dtype == float
             assert np.max(np.abs(series - full)) <= dropped + 1e-14
             np.testing.assert_array_equal(
-                prop.expectation_series(rho, obs, times, factor), series)
+                prop.expectation_series(rho, [obs], times, factor)[0], series)
 
 
 class TestFoldedSeries:

@@ -8,6 +8,7 @@ from milburnsim.fock import (
     displacement, identity_field, number)
 from milburnsim.hamiltonians import (
     compare_operators,
+    displaced_frame,
     effective_core_blocks,
     effective_hamiltonian,
     effective_hamiltonian_displaced,
@@ -175,6 +176,20 @@ class TestDisplacedForm:
         ed = np.sort(np.linalg.eigvalsh(0.5 * (hd + hd.conj().T)))
         ec = np.sort(np.linalg.eigvalsh(hc))
         assert np.max(np.abs(ed[:40] - ec[:40])) <= 1e-8
+
+    @pytest.mark.parametrize("epsilon", [0.5, 0.4 + 0.3j, 0.0])
+    def test_field_factor_form_matches_joint_product(self, epsilon):
+        # the atom blocks of field products against the joint product
+        # (I (x) D) blockdiag(h_n) (I (x) D^dag), which it replaces
+        p = SystemParams(lam=1.0, epsilon=epsilon, delta=2.0, gamma=1e3,
+                         alpha=1.0, dcut=16)
+        disp = displaced_frame(p)
+        joint = disp @ block_diagonal(effective_core_blocks(p)) \
+            @ disp.conj().T
+        h = effective_hamiltonian_displaced(p)
+        np.testing.assert_allclose(h, 0.5 * (joint + joint.conj().T),
+                                   rtol=0, atol=1e-14)
+        assert h.dtype == (complex if np.imag(epsilon) else float)
 
     def test_hermiticity(self, fig1b):
         # exactly: callers use it without taking the Hermitian part

@@ -31,7 +31,7 @@ def spectral_sigma_x_series(p, times):
     h = 0.5 * (h + h.conj().T)
     prop = SpectralPropagator(h=h, gamma=p.gamma)
     x_op = atom_field(SIGMA_X, identity_field(p.dcut))
-    return prop.expectation_series(initial_density(p), x_op, times).real
+    return prop.expectation_series(initial_density(p), [x_op], times)[0]
 
 
 param_sets = st.builds(
