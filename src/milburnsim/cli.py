@@ -10,6 +10,7 @@ unwritable output, 3 numerical guard violated, 4 validation mismatch.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -465,6 +466,7 @@ def cmd_validate(args):
     return status
 
 
+@functools.cache  # one per process; parse_args returns a fresh Namespace
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="milburnsim",

@@ -277,12 +277,17 @@ class KickCountFactor:
         theta = omega / gamma
         union, g = np.empty(0, dtype=np.int64), np.empty(0)
         out = np.empty(len(times))
+        # work arrays, reused, so that no block faults in fresh pages
+        ints = np.empty((rows, width), dtype=np.int64)
+        reals = np.empty((2, rows, width))
         for start in range(0, len(times), rows):
             m_lo, m_hi = windows[start:start + rows].T
             offset = np.arange(np.max(m_hi - m_lo) + 1)
-            kicks = m_lo[:, None] + offset
-            p = np.where(kicks <= m_hi[:, None], poisson_pmf(
-                kicks, gamma * times[start:start + rows, None]), 0.0)
+            block = np.s_[:len(m_lo), :len(offset)]
+            kicks = np.add.outer(m_lo, offset, out=ints[block])
+            p = poisson_pmf(kicks, gamma * times[start:start + rows, None],
+                            out=reals[0][block])
+            p[kicks > m_hi[:, None]] = 0.0
             p /= p.sum(axis=1, keepdims=True)
             if squared:  # A_0, 2 A_1, 2 A_2, ... on the lags as kick counts
                 n = 1 << (2 * len(offset) - 1).bit_length()  # no wrap-around
@@ -299,9 +304,9 @@ class KickCountFactor:
             new_g[~known] = _kick_sums(new_union[~known], weights, theta)
             union, g = new_union, new_g
             # each window is a contiguous run of the union
-            at = np.searchsorted(union, m_lo)[:, None] + offset
-            out[start:start + rows] = np.einsum(
-                "ij,ij->i", p, g[np.minimum(at, len(union) - 1)])
+            at = np.add.outer(np.searchsorted(union, m_lo), offset, out=kicks)
+            out[start:start + rows] = np.einsum("ij,ij->i", p, np.take(
+                g, at, mode="clip", out=reals[1][block]))
         return out
 
 
@@ -310,17 +315,22 @@ kick_count_factor = KickCountFactor()
 
 def prune_weights(weights):
     """Drop the smallest weights while their summed modulus stays within
-    DROP_BUDGET.
+    DROP_BUDGET; of the moduli equal to the largest dropped one, those of
+    the lowest flat indices go first, as a stable sort would order them.
 
     Returns the flat indices of the kept weights, in ascending order, and
     the dropped sum.
     """
     modulus = np.abs(weights).ravel()
-    order = np.argsort(modulus, kind="stable")
-    cumulative = np.cumsum(modulus[order])
+    ordered = np.sort(modulus)
+    cumulative = np.cumsum(ordered)
     n_drop = int(np.searchsorted(cumulative, DROP_BUDGET, side="right"))
     dropped = float(cumulative[n_drop - 1]) if n_drop else 0.0
-    return np.sort(order[n_drop:]), dropped
+    cut = ordered[n_drop - 1] if n_drop else -np.inf
+    drop = modulus < cut
+    ties = np.flatnonzero(modulus == cut)  # lowest indices go first
+    drop[ties[:n_drop - np.count_nonzero(drop)]] = True
+    return np.flatnonzero(~drop), dropped
 
 
 def folded_pair_weights(diagonal, pairs, omega):

@@ -60,19 +60,21 @@ def identity_field(dcut):
 def displacement(beta, dcut):
     """Glauber displacement D(beta) = exp(G), G = beta a^dag - beta* a,
     truncated: the exact exponential of the truncated generator for any
-    finite beta.  G is anti-Hermitian, so with iG = V diag(e) V^dag (eigh)
-    D = V diag(exp(-i e)) V^dag.  A real beta gives a real G and an
-    exactly real D, as Pade expm does, returned as float64: the series
-    kernel then keeps real weights and skips their sine term."""
+    finite beta.  iG = P S P^dag with P = diag(c^n), c = i e^{i arg beta}
+    (as i^(n mod 4) e^{i n arg beta}), and S real symmetric tridiagonal
+    (eigh reads its lower triangle): with S = V diag(e) V^T, D = P V
+    diag(exp(-i e)) V^T P^dag.  A real beta gives an exactly real D, as
+    Pade expm does, returned as float64 (the imaginary part is rounding
+    only): the series kernel then keeps real weights and skips their sine
+    term."""
     _check_cutoff(dcut)
     if not np.isfinite(beta):
         raise ValueError("displacement amplitude must be finite")
-    a = annihilation(dcut)
-    e, v = np.linalg.eigh(1j * (beta * a.conj().T - np.conjugate(beta) * a))
-    d = (v * np.exp(-1j * e)) @ v.conj().T
-    if np.imag(beta) == 0:
-        return d.real.copy()  # the imaginary part is rounding only
-    return d
+    n = np.arange(dcut)
+    e, v = np.linalg.eigh(np.diag(abs(beta) * np.sqrt(n[1:]), -1))
+    phase = 1j ** (n % 4) * np.exp(1j * n * np.angle(beta))
+    d = phase[:, None] * ((v * np.exp(-1j * e)) @ v.T) * phase.conj()
+    return d.real.copy() if np.imag(beta) == 0 else d
 
 
 def photon_weights(mean, dcut, state="a coherent state"):
@@ -113,22 +115,28 @@ def log_factorial(m):
     return np.where(small, table, stirling)
 
 
-def poisson_pmf(m, mean):
-    """Poisson probabilities p_m = e^{-mean} mean^m / m! for integer m
-    and a mean that broadcasts against m (a column of means gives one
-    row each), in log space so that large means neither overflow nor
-    underflow: exp(m ln(mean) - log_factorial(m) - mean), and 0^0 = 1 at
-    mean 0.  Over the window of dynamics.poisson_window it is within
-    3.2e-15 of scipy.stats.poisson.pmf for means up to 100 and 6.5e-13
-    up to 1e6; both carry the rounding of m ln(mean), which grows with
-    the mean (1.2e-13 from the exact value at mean 1e4)."""
+def poisson_pmf(m, mean, out=None):
+    """Poisson probabilities p_m = e^{-mean} mean^m / m! for integer m and
+    a mean that broadcasts against m (a column of means gives one row
+    each), in log space so that large means neither overflow nor
+    underflow: exp(m ln(mean) - log_factorial(m) - mean), 0^0 = 1 at mean
+    0; into ``out`` if given, with ln m! taken once per integer of [min m,
+    max m] where that is shorter than m.  Over the window of
+    dynamics.poisson_window it is within 3.2e-15 of scipy.stats.poisson.pmf
+    for means up to 100 and 6.5e-13 up to 1e6; both carry the rounding of
+    m ln(mean), which grows with the mean (1.2e-13 from the exact value at
+    mean 1e4)."""
     m, mean = np.asarray(m), np.asarray(mean, dtype=float)
     # math.log: np.log differs from it in the last bit of some means
     log_mean = np.reshape([math.log(x) if x > 0 else -math.inf
                            for x in mean.flat], mean.shape)
     with np.errstate(invalid="ignore"):  # 0 * -inf at mean 0
-        log_power = np.where(m == 0, 0.0, m * log_mean)
-    return np.exp(log_power - log_factorial(m) - mean)
+        out = np.asarray(np.multiply(m, log_mean, out=out))  # 0-d m too
+    np.copyto(out, 0.0, where=m == 0)
+    lo, hi = (m.min(), m.max()) if m.size else (0, -1)
+    out -= (log_factorial(np.arange(lo, hi + 1))[m - lo]
+            if hi - lo + 1 < m.size else log_factorial(m))
+    return np.exp(np.subtract(out, mean, out=out), out=out)
 
 
 def atom_field(atom_op, field_op):

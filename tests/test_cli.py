@@ -710,3 +710,36 @@ def test_run_leaves_scipy_unimported(tmp_path):
     codes, scipy = json.loads(proc.stdout.splitlines()[-1])
     assert codes == dict.fromkeys(cli.METHODS, EXIT_OK)
     assert scipy == []
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path):
+    # the second main call in this process writes the bytes that a fresh
+    # process writes for the same argv: no flag of the first call leaks
+    assert build_parser() is build_parser()
+    assert main(["run", "--method", "spectral", "--epsilon", "0.3",
+                 "--observables", "sigma_z",
+                 "--out", str(tmp_path / "first.csv")]) == EXIT_OK
+    argv = ["run", "--method", "spectral", "--out"]
+    assert main([*argv, str(tmp_path / "second.csv")]) == EXIT_OK
+    src = os.path.dirname(os.path.dirname(milburnsim.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "milburnsim", *argv,
+         str(tmp_path / "fresh.csv")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert ((tmp_path / "second.csv").read_bytes()
+            == (tmp_path / "fresh.csv").read_bytes())
+
+
+def test_parser_errors_and_help_repeat(capsys):
+    # argparse's own exits, before main's handlers, on the cached parser
+    for _ in range(2):
+        with pytest.raises(SystemExit) as bad:
+            main(["run", "--steps", "many"])
+        assert bad.value.code == EXIT_CONFIG
+        assert "invalid int value: 'many'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as shown:
+            main(["run", "--help"])
+        assert shown.value.code == 0
+        assert "--observables" in capsys.readouterr().out

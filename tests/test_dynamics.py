@@ -472,6 +472,55 @@ class TestSeriesKernel:
             assert np.max(np.abs(series - full)) <= dropped + 1e-14
 
 
+def stable_sort_prune(weights):
+    """prune_weights by a stable argsort of the moduli: among equal
+    moduli, the lower flat index is dropped first."""
+    modulus = np.abs(weights).ravel()
+    order = np.argsort(modulus, kind="stable")
+    cumulative = np.cumsum(modulus[order])
+    n_drop = int(np.searchsorted(cumulative, DROP_BUDGET, side="right"))
+    dropped = float(cumulative[n_drop - 1]) if n_drop else 0.0
+    return np.sort(order[n_drop:]), dropped
+
+
+@st.composite
+def tied_weights(draw):
+    """Up to 200 weights drawn from a few moduli around DROP_BUDGET, zero
+    included, so that ties fall at the cut; complex ones take the phases
+    +-1 and +-i, which keep each modulus exact, and some arrays are 2-D."""
+    levels = draw(st.lists(st.sampled_from(
+        [0.0, DROP_BUDGET / 16, DROP_BUDGET / 7, DROP_BUDGET / 4,
+         DROP_BUDGET / 3, DROP_BUDGET / 2, DROP_BUDGET, 3 * DROP_BUDGET]),
+        min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(0, 200))
+    modulus = np.array(draw(st.lists(st.sampled_from(levels),
+                                     min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        phases = draw(st.lists(st.sampled_from([1, -1, 1j, -1j]),
+                               min_size=n, max_size=n))
+        modulus = modulus * np.array(phases, dtype=complex)
+    if n % 2 == 0 and draw(st.booleans()):
+        modulus = modulus.reshape(2, -1)
+    return modulus
+
+
+class TestPruneWeights:
+    @given(tied_weights())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_stable_sort(self, weights):
+        keep, dropped = prune_weights(weights)
+        ref_keep, ref_dropped = stable_sort_prune(weights)
+        np.testing.assert_array_equal(keep, ref_keep)
+        assert dropped == ref_dropped
+
+    def test_ties_at_the_cut_drop_the_lowest_indices(self):
+        # sorted: 0, then four ties at 3e-15 of which three fit the budget
+        weights = np.array([5e-15, 3e-15, 3e-15, 0.0, 3e-15, 3e-15, 1.0])
+        keep, dropped = prune_weights(weights)
+        np.testing.assert_array_equal(keep, [0, 5, 6])
+        assert dropped == 3e-15 + 3e-15 + 3e-15
+
+
 @st.composite
 def hermitian_series_cases(draw):
     """A random Hermitian h, density matrix and unit-norm Hermitian

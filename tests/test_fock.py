@@ -94,11 +94,14 @@ class TestDisplacement:
         gap = d.conj().T @ d - np.eye(dcut)
         assert np.max(np.abs(gap[:16, :16])) <= 1e-10
 
-    # the last case is a displacement far beyond what its cutoff holds:
-    # still the exact, unitary exponential of the truncated generator
+    # a negative beta and a complex one in each quadrant take phases
+    # c^n = (i e^{i arg beta})^n other than i^n; the last case is a
+    # displacement far beyond what its cutoff holds: still the exact,
+    # unitary exponential of the truncated generator
     @pytest.mark.parametrize("beta, dcut", [
         *((beta, dcut) for dcut in (16, 64, 256)
-          for beta in (0.1, 1.25, 0.5 + 0.3j)),
+          for beta in (0.1, 1.25, 0.5 + 0.3j, -0.7, -0.2 - 0.6j, 0.3 - 0.4j,
+                       -0.6 + 0.5j)),
         (3.0, 8)])
     def test_matches_pade_exponential(self, dcut, beta):
         from scipy.linalg import expm
@@ -108,7 +111,7 @@ class TestDisplacement:
         oracle = expm(beta * a.conj().T - np.conjugate(beta) * a)
         assert np.max(np.abs(d - oracle)) <= 1e-13
         assert np.max(np.abs(d.conj().T @ d - np.eye(dcut))) <= 1e-13
-        assert isinstance(beta, complex) or not d.imag.any()
+        assert d.dtype == (complex if isinstance(beta, complex) else float)
 
 
 class TestCoherentState:
@@ -188,6 +191,20 @@ class TestPoisson:
         for row, kicks, mean in zip(p, m, means):
             np.testing.assert_array_equal(row, poisson_pmf(kicks, mean))
         np.testing.assert_array_equal(p[0], np.eye(len(p[0]))[0])
+        assert poisson_pmf(2, means[2]) == p[2, 2]
+        # into a strided view of a larger work array, as the kick-count
+        # series passes one
+        work = np.full((7, 30), np.nan)
+        into = poisson_pmf(m, means[:, None], out=work[1:6, 3:23])
+        assert into.base is work
+        np.testing.assert_array_equal(into, p)
+        # overlapping windows, as the kick-count series passes them: ln m!
+        # once per integer of their range, the same values row by row
+        kicks = np.arange(9990, 10010) + np.array([[0], [3], [5]])
+        means = np.array([9990.0, 1e4, 10012.5])
+        p = poisson_pmf(kicks, means[:, None])
+        for row, window, mean in zip(p, kicks, means):
+            np.testing.assert_array_equal(row, poisson_pmf(window, mean))
 
 
 class TestJointOperators:

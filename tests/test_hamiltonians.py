@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from milburnsim.dynamics import SpectralPropagator
 from milburnsim.fock import (
-    SIGMA_MINUS, SIGMA_PLUS, SIGMA_Z, atom_field, block_diagonal,
+    SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Z, atom_field, block_diagonal,
     displacement, identity_field, number)
 from milburnsim.hamiltonians import (
     compare_operators,
@@ -16,6 +19,7 @@ from milburnsim.hamiltonians import (
     small_rotation_exact,
     small_rotation_first_order,
 )
+from milburnsim.observables import initial_density, sigma_x_closed_form
 from milburnsim.params import (
     DispersiveValidityWarning,
     SystemParams,
@@ -226,6 +230,37 @@ class TestExactRewriting:
     def test_routes_displacement_ignores_the_drive(self, epsilon, delta):
         p = SystemParams(lam=1.0, epsilon=epsilon, delta=delta, gamma=1e3)
         assert derived_params(p).beta == 1.0 / (2.0 * p.lam)
+
+
+    # the unitary limit at eps = 0, where the full Hamiltonian (the
+    # full-oracle route) revives at about twice the time of the displaced
+    # core that every dispersive route evolves
+    @pytest.mark.parametrize("delta, anchor", [(20.0, 2.05), (40.0, 2.01)])
+    def test_revival_ratio_of_full_hamiltonian_to_displaced_core(
+            self, delta, anchor):
+        p = SystemParams(lam=1.0, epsilon=0.0, delta=delta, gamma=1e12,
+                         alpha=2.5, dcut=64)
+        unit = math.pi / abs(derived_params(p).chi)
+        # 100 samples per unit time: about 15 per period of sigma_x's
+        # oscillation at about delta, up to delta = 40
+        times = np.linspace(0.0, 2.4 * unit, int(240 * unit))
+
+        def revival(values):
+            # the first |sigma_x| > 0.5 after 0.3 pi/|chi|, then the peak
+            # of that revival: the largest |sigma_x| within 0.3 pi/|chi|
+            # after it, past the fast oscillation's own local peaks
+            a = np.abs(values)
+            first = times[np.flatnonzero((times > 0.3 * unit) & (a > 0.5))[0]]
+            lobe = (times >= first) & (times <= first + 0.3 * unit)
+            return times[np.argmax(np.where(lobe, a, -1.0))] / unit
+
+        prop = SpectralPropagator(interaction_hamiltonian(p), p.gamma)
+        full, = prop.expectation_series(
+            initial_density(p), [atom_field(SIGMA_X, identity_field(64))],
+            times)
+        core = revival(sigma_x_closed_form(p, times))
+        assert core == pytest.approx(1.0, abs=0.01)
+        assert revival(full) / core == pytest.approx(anchor, abs=0.03)
 
 
 class TestSmallRotation:
