@@ -9,10 +9,13 @@ Routes:
     per eigenfrequency (Milburn's, the windowed Poisson kick sum, the
     first-order master equation's, or the unitary phase) on weights that
     folded_pair_weights folds onto half the eigenpairs, summed by
-    folded_series: per eigenpair in real arithmetic, or for the kick sum
-    (KickCountFactor) over the kick count.  SpectralPropagator takes the
-    eigenbasis from a dense eigh, in float64 for a real h, the closed
-    form from the 2x2 blocks;
+    folded_series in real arithmetic.  An exponential factor on an
+    equispaced grid is a product of anchors and offsets, one
+    vector-matrix product per anchor (ExponentialFactor.series); the kick
+    sum (KickCountFactor) is a series over the kick count whose per-count
+    sums are the unitary factor's series at the counts.
+    SpectralPropagator takes the eigenbasis from a dense eigh, in float64
+    for a real h, the closed form from the 2x2 blocks;
   * state-level routes kept as independent references for that kernel:
     exact intrinsic-decoherence evolution as a Poisson-weighted sum of
     repeated unitary kicks (milburn_poisson_evolve) or in spectral
@@ -144,17 +147,19 @@ class ExponentialFactor:
 
     def series(self, weights, omega, times, gamma, squared):
         """Re sum_p weights_p F(omega_p, t), or sum_p weights_p |F|^2, in
-        real arithmetic: |F|^2 as exp(2 t Re c), and Im F reduced only
-        against weights with an imaginary part.
+        real arithmetic: |F|^2 as exp(2 t Re c).
 
         F is exponential in t, so row a r + j of a grid equal to
         np.linspace(times[0], times[-1], n) takes F(t_{a r}) F(j h): F is
-        evaluated only at the anchors t_{a r} and the r offsets j h, and
-        each row's factor is the product of one of each.  r is about
-        sqrt(n), at most SERIES_BLOCK // pairs; any other grid takes
-        r = 1, one anchor per row and the single offset F(0) = 1.  Anchors
-        go in blocks of at most SERIES_BLOCK entries, and every row is
-        reduced by itself against the weights."""
+        evaluated only at the anchors t_{a r} and the r offsets j h.  r is
+        about sqrt(n), at most SERIES_BLOCK // pairs; any other grid takes
+        r = 1, one anchor per row and the single offset F(0) = 1.  An
+        anchor A's r rows are one vector-matrix product,
+        Re sum_p (w_p A_p) O_jp = [Re wA, Im wA] . [Re O; -Im O]_j (for
+        |F|^2 the real w A times O), taken as a stack of products, one per
+        anchor: unlike one matrix product over all anchors, its bits do not
+        depend on the BLAS thread count.  A block of anchors holds at most
+        SERIES_BLOCK anchor factors and SERIES_BLOCK rows, or one anchor."""
         rate, freq = self.exponent(omega, gamma)
         if squared:
             rate, freq = 2.0 * rate, None
@@ -171,25 +176,17 @@ class ExponentialFactor:
         r = rows_per_anchor(times, pairs)
         step = (times[-1] - times[0]) / (n - 1) if r > 1 else 0.0
         off_re, off_im = parts(np.arange(r) * step)
+        offsets = off_re.T if freq is None else np.vstack([off_re.T,
+                                                           -off_im.T])
         out = np.empty(n)
-        anchors = max(1, SERIES_BLOCK // (r * max(1, pairs)))
-        # work arrays, reused: allocating them per block costs more than
-        # the products written into them
-        prod, term = np.empty((2, anchors, r, pairs))
+        anchors = max(1, SERIES_BLOCK // max(r, 2 * pairs))
         for start in range(0, n, anchors * r):
             stop = min(n, start + anchors * r)
             a_re, a_im = parts(times[start:stop:r])
-            k = len(a_re)
-            rows = prod[:k].reshape(k * r, pairs)[:stop - start]
-            np.multiply(a_re[:, None], off_re, out=prod[:k])
-            if freq is not None:
-                prod[:k] -= np.multiply(a_im[:, None], off_im, out=term[:k])
-            block = rows @ wr
-            if freq is not None and wi.any():
-                np.multiply(a_re[:, None], off_im, out=prod[:k])
-                prod[:k] += np.multiply(a_im[:, None], off_re, out=term[:k])
-                block -= rows @ wi
-            out[start:stop] = block
+            lhs = (a_re * wr if freq is None else
+                   np.hstack([a_re * wr - a_im * wi, a_re * wi + a_im * wr]))
+            rows = (lhs[:, None, :] @ offsets).ravel()
+            out[start:stop] = rows[:stop - start]
         return out
 
 
@@ -229,24 +226,6 @@ first_order_factor = ExponentialFactor(first_order_exponent)
 unitary_factor = ExponentialFactor(unitary_exponent)
 
 
-def _kick_sums(kicks, weights, theta):
-    """Re sum_p weights_p e^{-i k theta_p} for each kick count k, in
-    chunks of at most SERIES_BLOCK phases."""
-    wr, wi = weights.real, weights.imag
-    out = np.empty(len(kicks))
-    chunk = max(1, SERIES_BLOCK // max(1, len(theta)))
-    # work arrays, reused: a fresh one per chunk can cost a page fault
-    # per page, once it is too large for the allocator's heap
-    work = np.empty((2, min(chunk, len(kicks)), len(theta)))
-    for s in range(0, len(kicks), chunk):
-        k = kicks[s:s + chunk]
-        phases = np.multiply.outer(k, theta, out=work[0, :len(k)])
-        out[s:s + chunk] = np.cos(phases, out=work[1, :len(k)]) @ wr
-        if wi.any():
-            out[s:s + chunk] += np.sin(phases, out=work[1, :len(k)]) @ wi
-    return out
-
-
 def _window_union(m_lo, m_hi):
     """The kick counts of the union of the windows [m_lo, m_hi], sorted:
     overlapping or adjacent windows merged, gaps left out."""
@@ -262,7 +241,11 @@ class KickCountFactor:
     over milburn_poisson_evolve's renormalized window, summed over the
     kick count m.  With theta_p = omega_p/gamma, a linear observable is
     sum_m p_m g_m, g_m = Re sum_p w_p e^{-i m theta_p}, computed once per
-    kick count of the union of the windows (on an increasing time grid).
+    kick count of the union of the windows (on an increasing time grid)
+    as unitary_factor's series at the times m: a block's new counts form
+    one run on an increasing grid, an equispaced grid that takes the
+    anchor x offset product, while a run with gaps takes one anchor per
+    count.
     The purity is A_0 g_0 + 2 sum_{d>=1} A_d g_d over the lags d, with
     the autocorrelation A_d = sum_m p_m p_{m+d} of each row's weights from
     one rfft per block of rows.  A block holds at most SERIES_BLOCK/2
@@ -301,7 +284,8 @@ class KickCountFactor:
             known = np.isin(new_union, union)
             new_g = np.empty(len(new_union))
             new_g[known] = g[np.searchsorted(union, new_union[known])]
-            new_g[~known] = _kick_sums(new_union[~known], weights, theta)
+            new_g[~known] = unitary_factor.series(
+                weights, theta, new_union[~known].astype(float), gamma, False)
             union, g = new_union, new_g
             # each window is a contiguous run of the union
             at = np.add.outer(np.searchsorted(union, m_lo), offset, out=kicks)

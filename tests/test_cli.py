@@ -244,6 +244,18 @@ class TestRunCommand:
         assert err.startswith("numerical guard: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_non_finite_series_is_refused_by_name(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # cmd_run's own guard, after compute_series returns: the only line
+        # on stderr names it, and nothing is written
+        monkeypatch.setattr(cli, "compute_series", _nan_column)
+        out = tmp_path / "x.csv"
+        code = main(run_args("--steps", "3", "--out", str(out)))
+        assert code == EXIT_GUARD == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numerical guard: the computed series has non-finite values"]
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag", ["--steps", "--cutoff"])
     def test_array_size_guard_names_the_flag(self, tmp_path, capsys, flag):
         # the first count numpy cannot size as float64 values, 2^60

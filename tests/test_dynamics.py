@@ -621,6 +621,41 @@ class TestFoldedSeries:
                 h, rho, op, 1e4, np.array(times),
                 [(kick_count_factor, direct_kick_sum)])
 
+    @pytest.mark.parametrize("times, anchored", [
+        # the CLI's default gamma near its last time, 12: windows of about
+        # 55 000 kick counts near m = 1.2e7, one row per block, and each
+        # block's new counts one run, taken by anchors and offsets
+        ([11.98, 11.99, 12.0], True),
+        # windows of 1600 to 2800 counts near m = 1e4 .. 3e4: one block,
+        # whose union leaves gaps, so every count is its own anchor
+        ([0.01, 0.02, 0.03], False),
+    ])
+    def test_kick_count_series_at_the_cli_scale(self, monkeypatch, times,
+                                                 anchored):
+        gamma, times = 1e6, np.array(times)
+        rng = np.random.default_rng(11)
+        weights = (rng.uniform(-1, 1, 12) + 1j * rng.uniform(-1, 1, 12)) / 24
+        omega = rng.uniform(-10.0, 10.0, 12)
+        windows = [dynamics.poisson_window(gamma * t) for t in times]
+        gaps = any(lo > hi + 1 for (_, hi), (lo, _) in zip(windows,
+                                                           windows[1:]))
+        assert gaps != anchored
+        direct = direct_kick_sum(omega, times, gamma)
+        taken, rows_per_anchor = [], dynamics.rows_per_anchor
+        monkeypatch.setattr(dynamics, "rows_per_anchor", lambda *args: (
+            taken.append(rows_per_anchor(*args)) or taken[-1]))
+        series = folded_series(0.25, weights, omega, times, kick_count_factor,
+                               gamma)
+        assert taken and all((r > 1) == anchored for r in taken)
+        np.testing.assert_allclose(series, 0.25 + (direct @ weights).real,
+                                   rtol=0, atol=1e-12)
+        # the purity's lags: one run from 0 per block, whatever the gaps
+        series = folded_series(0.25, weights.real, omega, times,
+                               kick_count_factor, gamma, squared=True)
+        np.testing.assert_allclose(
+            series, 0.25 + np.abs(direct) ** 2 @ weights.real, rtol=0,
+            atol=1e-12)
+
 
 class TestAnchorOffsetSeries:
     """ExponentialFactor.series on an equispaced grid, where each row's
@@ -658,6 +693,31 @@ class TestAnchorOffsetSeries:
             series = folded_series(0.25, w, omega, times, factor, 40.0,
                                    squared=squared)
             np.testing.assert_allclose(series, 0.25 + direct, rtol=0,
+                                       atol=1e-12)
+
+    @pytest.mark.parametrize("factor", EXPONENTIAL_FACTORS)
+    @pytest.mark.parametrize("n", [24000, 23999])
+    def test_many_pairs_take_many_blocks(self, factor, n):
+        # 1267 pairs cap r at SERIES_BLOCK // 1267 = 25 rows per anchor,
+        # and a block at SERIES_BLOCK // (2 * 1267) = 12 anchors, so the
+        # grid takes 80 blocks; at 23999 rows the last anchor has 24 rows
+        rng = np.random.default_rng(n)
+        weights, omega = self.pairs(rng, 1267)
+        times = np.linspace(0.0, 40.0, n)
+        assert dynamics.rows_per_anchor(times, len(omega)) == 25
+        # every 13th row and the last 25: 13 is prime to 25 and to the 300
+        # rows of a block, so the rows checked meet every offset and every
+        # place in a block
+        rows = np.union1d(np.arange(0, n, 13), np.arange(n - 25, n))
+        f = factor(omega, times[rows, None], 40.0)
+        for w, squared, direct in (
+                (weights, False, (f * weights).real.sum(axis=1)),
+                (weights.real, False, (f * weights.real).real.sum(axis=1)),
+                (weights.real, True, (np.abs(f) ** 2 * weights.real).sum(
+                    axis=1))):
+            series = folded_series(0.25, w, omega, times, factor, 40.0,
+                                   squared=squared)
+            np.testing.assert_allclose(series[rows], 0.25 + direct, rtol=0,
                                        atol=1e-12)
 
     @pytest.mark.parametrize("factor", EXPONENTIAL_FACTORS)
