@@ -35,8 +35,6 @@ from .fock import (
     SIGMA_X,
     SIGMA_Z,
     CutoffTooSmallError,
-    atom_field,
-    identity_field,
     matrix_exponential,
 )
 from .hamiltonians import (
@@ -44,8 +42,8 @@ from .hamiltonians import (
     effective_hamiltonian_displaced, interaction_hamiltonian,
     small_rotation_exact, small_rotation_first_order)
 from .observables import (
-    closed_form_series, initial_density, revival_metrics, sigma_x_closed_form,
-    state_expectation)
+    closed_form_series, initial_density, initial_state, revival_metrics,
+    sigma_x_closed_form, state_expectation)
 from .params import SystemParams, derived_params
 
 # Each method's Hamiltonian and its scalar factor F(omega, t, gamma) per
@@ -175,7 +173,8 @@ def compute_series(cfg: RunConfig):
     Returns (times, columns) with one column per observable.
     """
     # numpy refuses an array of more than intp max bytes with a ValueError;
-    # every route but the closed form builds a (2 cutoff)^2 complex matrix
+    # every route but the closed form builds (2 cutoff)^2 matrices, H and
+    # its eigenvectors, complex at a complex drive
     cutoff_bytes = (8 * cfg.dcut if METHODS[cfg.method] is None
                     else 16 * (2 * cfg.dcut) ** 2)
     for flag, count, size in (("steps", cfg.steps, 8 * cfg.steps),
@@ -192,10 +191,8 @@ def compute_series(cfg: RunConfig):
 
     hamiltonian, factor = METHODS[cfg.method]
     prop = SpectralPropagator(h=hamiltonian(cfg), gamma=cfg.gamma)
-    rho0 = initial_density(cfg)
-    return times, prop.expectation_series(rho0, [
-        None if op is None else atom_field(op, identity_field(cfg.dcut))
-        for op in ops], times, factor)
+    return times, prop.expectation_series(initial_state(cfg), ops, times,
+                                          factor)
 
 
 def _write_atomic(path, chunks):

@@ -2,20 +2,22 @@
 
 Routes:
   * the exact 2x2 propagator blocks of the effective Hamiltonian per
-    photon number, and effective_propagator, their block-diagonal
-    assembly in the displaced frame, for tests and validate, not run;
+    photon number, and effective_propagator, their displaced assembly
+    (hamiltonians.displaced_blocks), for tests and validate, not run;
   * the series kernel: every density-matrix route is diagonal in the
     eigenbasis of H, so an observable's time series is one scalar factor
     per eigenfrequency (Milburn's, the windowed Poisson kick sum, the
     first-order master equation's, or the unitary phase) on weights that
-    folded_pair_weights folds onto half the eigenpairs, summed by
+    block_pair_weights folds onto half the eigenpairs, summed by
     folded_series in real arithmetic.  An exponential factor on an
     equispaced grid is a product of anchors and offsets, one
     vector-matrix product per anchor (ExponentialFactor.series); the kick
     sum (KickCountFactor) is a series over the kick count whose per-count
     sums are the unitary factor's series at the counts.
-    SpectralPropagator takes the eigenbasis from a dense eigh, in float64
-    for a real h, the closed form from the 2x2 blocks;
+    The initial state is pure, so the weights come from its eigenbasis
+    amplitudes and the atom operator's image: SpectralPropagator passes
+    one block from a dense eigh, in float64 for a real h, the closed form
+    one 2x2 block per photon number;
   * state-level routes kept as independent references for that kernel:
     exact intrinsic-decoherence evolution as a Poisson-weighted sum of
     repeated unitary kicks (milburn_poisson_evolve) or in spectral
@@ -30,8 +32,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fock import block_diagonal, matrix_exponential, poisson_pmf
-from .hamiltonians import displaced_frame, effective_core_blocks, rabi_blocks
+from .fock import matrix_exponential, poisson_pmf, real_if_real
+from .hamiltonians import displaced_blocks, effective_core_blocks, rabi_blocks
 from .params import SystemParams
 
 
@@ -60,8 +62,7 @@ def effective_propagator(t, p: SystemParams):
     Conjugation order matches the displaced Hamiltonian construction, so
     this equals exp(-i H t) for that Hamiltonian.
     """
-    disp = displaced_frame(p)
-    return disp @ block_diagonal(block_propagators(t, p)) @ disp.conj().T
+    return displaced_blocks(p, block_propagators(t, p))
 
 
 def _check_hermitian(h):
@@ -317,16 +318,34 @@ def prune_weights(weights):
     return np.flatnonzero(~drop), dropped
 
 
-def folded_pair_weights(diagonal, pairs, omega):
-    """Fold the series of Tr(rho(t) op) onto the eigenpairs j < k.  Its
-    weights w_jk = rho_e[j,k] op_e[k,j] (the purity: |rho_e[j,k]|^2 with
-    factor |F|^2) have w_kj = conj w_jk, and F(0) = 1, F(-w) = conj F(w),
-    so it is diagonal + Re sum_{j<k} 2 w_jk F(E_j - E_k, t), given the
-    w_jk (pairs) and E_j - E_k (omega) of the pairs that may be nonzero.
-    Pairs that prune_weights drops are frozen at F = 1, their real parts
+def block_pair_weights(amp, energies, op_blocks):
+    """The series of Tr(rho(t) op) of a pure state, folded onto the
+    eigenpairs j < k that may be nonzero, in an eigenbasis taken as
+    blocks: amp and energies (blocks, m) hold the state's amplitudes and
+    the eigenvalues, op_blocks (blocks, m, m) the operator's image, which
+    joins only the eigenvectors of one block.  The operator's weights are
+    w_jk = rho_e[j,k] op_e[k,j] = amp_j amp_k* op[k, j] on the pairs
+    inside each block; the purity's (op_blocks None, factor |F|^2)
+    |amp_j|^2 |amp_k|^2 on every pair of populated eigenvectors, in the
+    order of energies.T.ravel().  As w_kj = conj w_jk, F(0) = 1 and
+    F(-w) = conj F(w), the series is the diagonal sum |amp|^2 diag(op)
+    (purity: sum |amp|^4) + Re sum_{j<k} 2 w_jk F(E_j - E_k, t).  Pairs
+    that prune_weights drops are frozen at F = 1, their real parts
     joining the constant: the t = 0 value is kept and, as |F| <= 1, the
     error is at most twice the dropped sum.  Returns (constant, kept
     folded weights 2 w_jk, their omega, dropped sum)."""
+    prob = np.abs(amp) ** 2
+    if op_blocks is None:
+        energies, prob = energies.T.ravel(), prob.T.ravel()
+        live = np.flatnonzero(prob)  # ascending, as np.less.outer needs
+        j, k = live[np.array(np.nonzero(np.less.outer(live, live)))]
+        diagonal, pairs = prob @ prob, prob[j] * prob[k]
+        omega = energies[j] - energies[k]
+    else:
+        j, k = np.nonzero(np.less.outer(*[np.arange(amp.shape[1])] * 2))
+        diagonal = (prob * np.diagonal(op_blocks, 0, 1, 2)).sum().real
+        pairs = (amp[:, j] * amp[:, k].conj() * op_blocks[:, k, j]).ravel()
+        omega = (energies[:, j] - energies[:, k]).ravel()
     folded = 2.0 * pairs
     keep, dropped = prune_weights(folded)
     constant = diagonal + np.delete(folded, keep).real.sum()
@@ -362,20 +381,12 @@ def folded_series(constant, weights, omega, times, factor, gamma,
     return factor.series(weights, omega, times, gamma, squared) + constant
 
 
-def _real_if_real(m):
-    """m as a float64 array if it has no imaginary part, else as complex."""
-    m = np.asarray(m)
-    if np.iscomplexobj(m) and not m.imag.any():
-        return m.real
-    return m.astype(np.result_type(m, float), copy=False)
-
-
 @dataclass
 class SpectralPropagator:
     """Eigendecomposition of h and the series kernel of every
     density-matrix route.  A real h (no imaginary part, whatever its
     dtype) is diagonalised in float64 and its eigenvectors are real; a
-    real rho0 or operator then reaches the eigenbasis in float64 too.
+    real state or operator then reaches the eigenbasis in float64 too.
     Read-only after construction; safe to share across workers."""
 
     h: np.ndarray
@@ -384,45 +395,41 @@ class SpectralPropagator:
     vectors: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        h = _real_if_real(self.h)
+        h = real_if_real(self.h)
         _check_hermitian(h)
         self.energies, self.vectors = np.linalg.eigh(h)
-
-    def _to_eigenbasis(self, m):
-        """V^dag m V: in float64 when V and m are real, else complex."""
-        return self.vectors.conj().T @ _real_if_real(m) @ self.vectors
 
     def evolve(self, rho0, t):
         """rho(t) under Milburn's equation: rho0's eigenbasis entries times
         Milburn's factor at w = E_j - E_k."""
         omega = self.energies[:, None] - self.energies[None, :]
-        rho_e = (self._to_eigenbasis(rho0)
+        rho_e = (self.vectors.conj().T @ real_if_real(rho0) @ self.vectors
                  * milburn_factor(omega, t, self.gamma))
         return self.vectors @ rho_e @ self.vectors.conj().T
 
-    def folded_weights(self, rho0, ops):
-        """folded_pair_weights over every eigenpair of h, one tuple per
-        operator of ops (None: purity), from one eigenbasis image of rho0."""
-        rho_e = self._to_eigenbasis(rho0)
-        j, k = np.triu_indices(len(rho_e), 1)
-        omega = self.energies[j] - self.energies[k]
-        out = []
-        for op in ops:
-            weights = (np.abs(rho_e) ** 2 if op is None
-                       else rho_e * self._to_eigenbasis(op).T)
-            out.append(folded_pair_weights(np.trace(weights).real,
-                                           weights[j, k], omega))
-        return out
+    def folded_weights(self, psi, atom_ops):
+        """block_pair_weights of the pure state psi over every eigenpair
+        of h, taken as one block, one tuple per atom operator of atom_ops
+        (None: purity): the amplitudes V^dag psi and each image
+        V^dag (op (x) I) V, with op acting on V's two atom halves."""
+        v_dag = self.vectors.conj().T
+        amp = v_dag @ real_if_real(psi)
+        return [block_pair_weights(
+            amp[None], self.energies[None], None if op is None else
+            (v_dag @ (real_if_real(op) @ self.vectors.reshape(2, -1))
+             .reshape(self.vectors.shape))[None]) for op in atom_ops]
 
-    def expectation_series(self, rho0, ops, times, factor=milburn_factor):
-        """Tr(rho(t) op) on a time grid for each operator of ops, ``None``
-        for the purity Tr(rho(t)^2), without building any density matrix:
-        folded_series over folded_weights with the route's
-        ``factor(omega, t, gamma)``.  Returns one float array per operator."""
+    def expectation_series(self, psi, atom_ops, times,
+                           factor=milburn_factor):
+        """Tr(rho(t) op (x) I) of the pure state psi on a time grid for
+        each atom operator of atom_ops, ``None`` for the purity, with no
+        density matrix or joint operator built: folded_series over
+        folded_weights with the route's ``factor(omega, t, gamma)``.
+        Returns one float array per operator."""
         return [folded_series(constant, weights, omega, times, factor,
                               self.gamma, squared=op is None)
                 for op, (constant, weights, omega, _)
-                in zip(ops, self.folded_weights(rho0, ops))]
+                in zip(atom_ops, self.folded_weights(psi, atom_ops))]
 
 
 class StepSizeError(RuntimeError):

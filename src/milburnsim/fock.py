@@ -3,9 +3,10 @@
 Dense matrices: complex, except the displacement D(beta) of a real beta,
 which is float64 (hamiltonians builds float64 Hamiltonians from it and
 real field factors).  Field operators live on a truncated photon-number
-basis 0..dcut-1; joint operators on the atom (x) field space
-use atom-major ordering with the excited state first, so index s*dcut + n
-means atomic level s (0 = |e>, 1 = |g>) and photon number n.
+basis 0..dcut-1; joint operators on the atom (x) field space, which only
+the reference routes and validate build, use atom-major ordering with the
+excited state first, so index s*dcut + n means atomic level s (0 = |e>,
+1 = |g>) and photon number n.
 """
 
 import math
@@ -150,13 +151,12 @@ def atom_field(atom_op, field_op):
     return np.kron(atom_op, field_op)
 
 
-def block_diagonal(blocks):
-    """Joint operator of a (dcut, 2, 2) stack of atom blocks, one per photon
-    number: blocks[n, s, s'] at (s dcut + n, s' dcut + n), atom-major."""
-    n = np.arange(len(blocks))
-    out = np.zeros((2, len(n), 2, len(n)), dtype=complex)
-    out[:, n, :, n] = blocks
-    return out.reshape(2 * len(n), 2 * len(n))
+def real_if_real(m):
+    """m as a float64 array if it has no imaginary part, else as complex."""
+    m = np.asarray(m)
+    if np.iscomplexobj(m) and not m.imag.any():
+        return m.real
+    return m.astype(np.result_type(m, float), copy=False)
 
 
 def matrix_exponential(m):

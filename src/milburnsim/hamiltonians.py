@@ -3,7 +3,8 @@
 Three forms are provided: the interaction-picture Hamiltonian, the
 dispersive effective Hamiltonian obtained via a small rotation, and the
 displaced form whose inner core is diagonal in photon number (up to the
-classical drive).  The effective form is built exactly as its expanded
+classical drive), built by displaced_blocks like the displaced
+propagator.  The effective form is built exactly as its expanded
 expression is written; `compare_operators` measures its gaps from the
 rotated interaction Hamiltonian and the displaced form for `validate`'s
 GAP lines rather than hiding them.
@@ -23,6 +24,7 @@ from .fock import (
     matrix_exponential,
     number,
     photon_weights,
+    real_if_real,
 )
 from .params import SystemParams, derived_params, warn_if_not_dispersive
 
@@ -95,30 +97,27 @@ def displaced_photon_weights(p: SystemParams):
         f"|alpha - beta> (alpha = {p.alpha:g}, beta = {beta:g})")
 
 
-def displaced_frame(p: SystemParams):
-    """The joint displacement I (x) D(beta) into the frame of the core,
-    after displaced_photon_weights has checked the cutoff."""
+def displaced_blocks(p: SystemParams, blocks):
+    """(I (x) D) blockdiag(blocks) (I (x) D^dag) of a (dcut, 2, 2) stack
+    of atom blocks, one per photon number, with D = D(beta): its atom
+    blocks (D diag(blocks[:, s, r])) D^dag, four products of dcut x dcut
+    field factors, after displaced_photon_weights has checked the
+    cutoff.  Float64 when beta and the blocks are real."""
     displaced_photon_weights(p)
-    return atom_field(np.eye(2), displacement(derived_params(p).beta, p.dcut))
+    d = displacement(derived_params(p).beta, p.dcut)
+    d_dag, blocks = d.conj().T, real_if_real(blocks)
+    # each product scales D first, as (I (x) D) blockdiag(blocks) does
+    return np.block([[(d * blocks[:, s, r]) @ d_dag for r in (0, 1)]
+                     for s in (0, 1)])
 
 
 def effective_hamiltonian_displaced(p: SystemParams):
-    """D(beta) {sz [chi N + delta_tilde] + eps s+ + eps* s-} D^dag(beta),
-    with the displacement acting on the field factor only: the atom
-    blocks [[D diag(Delta) D^dag, eps D D^dag], [eps* D D^dag,
-    -D diag(Delta) D^dag]] of (I (x) D) blockdiag(h_n) (I (x) D^dag), from
-    products of the dcut x dcut field factors, in float64 when beta and
+    """D(beta) {sz [chi N + delta_tilde] + eps s+ + eps* s-} D^dag(beta):
+    displaced_blocks of the core's blocks h_n, in float64 when beta and
     eps are real.  Returns the Hermitian part, which drops the rounding
     skew of the products."""
     warn_if_not_dispersive(p)
-    displaced_photon_weights(p)
-    d = displacement(derived_params(p).beta, p.dcut)
-    detuned, _ = rabi_blocks(p, np.arange(p.dcut))
-    # each product scales D first, as (I (x) D) blockdiag(h_n) does
-    shift, drive, drive_conj = (
-        (d * x) @ d.conj().T
-        for x in (detuned, p.epsilon, np.conjugate(p.epsilon)))
-    h = np.block([[shift, drive], [drive_conj, -shift]])
+    h = displaced_blocks(p, effective_core_blocks(p))
     return 0.5 * (h + h.conj().T)
 
 

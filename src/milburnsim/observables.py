@@ -14,7 +14,7 @@ from .fock import (
 from .hamiltonians import (
     displaced_photon_weights, effective_core_blocks, rabi_blocks)
 from .params import SystemParams, warn_if_not_dispersive
-from .dynamics import folded_pair_weights, folded_series, milburn_factor
+from .dynamics import block_pair_weights, folded_series, milburn_factor
 from dataclasses import dataclass
 
 ATOM_STATE = np.ones(2, dtype=complex) / np.sqrt(2.0)  # (|e> + |g>)/sqrt(2)
@@ -27,10 +27,14 @@ class RevivalMetrics:
     revival_time: float
 
 
+def initial_state(p: SystemParams):
+    """Joint initial state vector: atom in ATOM_STATE, field coherent."""
+    return np.kron(ATOM_STATE, coherent_state(p.alpha, p.dcut))
+
+
 def initial_density(p: SystemParams):
-    """Joint initial state: atom in ATOM_STATE, field coherent."""
-    field = coherent_state(p.alpha, p.dcut)
-    return density_from_state(np.kron(ATOM_STATE, field))
+    """The density matrix of initial_state, for the state-level routes."""
+    return density_from_state(initial_state(p))
 
 
 def closed_form_series(p: SystemParams, atom_op, t):
@@ -39,7 +43,8 @@ def closed_form_series(p: SystemParams, atom_op, t):
     where the field is |alpha - beta> at every time and atom_op (x) I
     commutes with D(beta).  In the eigenbasis V_n of h_n (a batched 2x2
     eigh) the state's amplitudes are sqrt(p_n) V_n^dag ATOM_STATE, p_n =
-    displaced_photon_weights, and atom_op's blocks V_n^dag atom_op V_n."""
+    displaced_photon_weights, and atom_op's blocks V_n^dag atom_op V_n,
+    from which block_pair_weights builds the series' weights."""
     warn_if_not_dispersive(p)
     t = np.asarray(t, dtype=float)
     _, vectors = np.linalg.eigh(effective_core_blocks(p))
@@ -47,21 +52,12 @@ def closed_form_series(p: SystemParams, atom_op, t):
     # which rabi_blocks gives to half an ulp, keeping long runs in phase
     amp = ((ATOM_STATE @ vectors.conj())
            * np.sqrt(displaced_photon_weights(p))[:, None])
-    prob = np.abs(amp) ** 2
     omega_n = rabi_blocks(p, np.arange(p.dcut))[1]
-    if atom_op is None:
-        # |rho_e[j,k]|^2 = prob_j prob_k on the pairs of populated ones
-        energies, prob = np.concatenate([-omega_n, omega_n]), prob.T.ravel()
-        live = np.flatnonzero(prob)
-        j, k = live[np.array(np.triu_indices(len(live), 1))]
-        pair_weights = prob @ prob, prob[j] * prob[k], energies[j] - energies[k]
-    else:
-        # atom_op (x) I joins only the two eigenvectors of one block
-        blocks = np.swapaxes(vectors.conj(), 1, 2) @ atom_op @ vectors
-        pair_weights = ((prob * np.diagonal(blocks, 0, 1, 2)).sum().real,
-                        amp[:, 0] * amp[:, 1].conj() * blocks[:, 1, 0],
-                        -2.0 * omega_n)
-    constant, weights, omega, _ = folded_pair_weights(*pair_weights)
+    # atom_op (x) I joins only the two eigenvectors of one block
+    blocks = (None if atom_op is None else
+              np.swapaxes(vectors.conj(), 1, 2) @ atom_op @ vectors)
+    constant, weights, omega, _ = block_pair_weights(
+        amp, np.stack([-omega_n, omega_n], axis=1), blocks)
     values = folded_series(constant, weights, omega, np.atleast_1d(t),
                            milburn_factor, p.gamma, squared=atom_op is None)
     return float(values[0]) if t.ndim == 0 else values

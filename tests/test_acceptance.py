@@ -16,7 +16,7 @@ from milburnsim.dynamics import (
     milburn_poisson_evolve,
     schrodinger_evolve,
 )
-from milburnsim.fock import SIGMA_X, SIGMA_Z, atom_field, identity_field
+from milburnsim.fock import SIGMA_X, SIGMA_Z
 from milburnsim.hamiltonians import (
     effective_hamiltonian_displaced,
     interaction_hamiltonian,
@@ -25,6 +25,7 @@ from milburnsim.hamiltonians import (
 )
 from milburnsim.observables import (
     initial_density,
+    initial_state,
     revival_metrics,
     sigma_x_closed_form,
     state_expectation,
@@ -95,12 +96,11 @@ def test_criterion_2_poisson_vs_spectral():
 def test_criterion_3_closed_form_vs_state_evolution():
     c = _Criterion("3 closed form vs state evolution", 60.0)
     times = np.linspace(0.0, 4.0 * np.pi, 400)
-    x_op = atom_field(SIGMA_X, identity_field(64))
     worst = 0.0
     for label, p in FIG1.items():
         h = displaced_hamiltonian(p)
         prop = SpectralPropagator(h=h, gamma=p.gamma)
-        state_route = prop.expectation_series(initial_density(p), [x_op],
+        state_route = prop.expectation_series(initial_state(p), [SIGMA_X],
                                               times)[0]
         closed = sigma_x_closed_form(p, times)
         worst = max(worst, float(np.max(np.abs(state_route - closed))))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import milburnsim
-from milburnsim import cli, dynamics, observables
+from milburnsim import cli, dynamics, fock, hamiltonians, observables
 from milburnsim.cli import (
     EXIT_CONFIG,
     EXIT_GUARD,
@@ -172,6 +172,27 @@ class TestRunCommand:
                 cfg, cli.ATOM_OPERATORS[name], times)
             assert np.max(np.abs(column - reference)) <= 1e-9, name
 
+    @pytest.mark.parametrize("method", [
+        "spectral", "poisson", "lindblad", "schrodinger", "full-oracle"])
+    def test_run_path_builds_no_joint_matrix(self, monkeypatch, method):
+        # the pure state and the 2x2 atom operators go into the eigenbasis
+        # directly: no joint density matrix and no joint operator is built
+        def unreachable(*args):
+            raise AssertionError("a joint matrix was built")
+
+        for module in (fock, hamiltonians, observables, cli):
+            for name in ("atom_field", "density_from_state",
+                         "initial_density"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, unreachable)
+        cfg = build_run_config(build_parser().parse_args(run_args(
+            "--method", method, "--epsilon", "0.5", "--gamma", "1000",
+            "--alpha", "1", "--cutoff", "16", "--tmax", "2", "--steps", "20",
+            "--observables", "sigma_x,sigma_z,purity")))
+        _, columns = cli.compute_series(cfg)
+        assert len(columns) == 3
+        assert all(np.isfinite(column).all() for column in columns)
+
     def test_invalid_method_writes_nothing(self, tmp_path):
         out = tmp_path / "x.csv"
         code = main(run_args("--method", "nonsense", "--out", str(out)))
@@ -274,7 +295,7 @@ class TestRunCommand:
 
         monkeypatch.setitem(cli.METHODS, "spectral",
                             (unreachable, cli.METHODS["spectral"][1]))
-        monkeypatch.setattr(cli, "initial_density", unreachable)
+        monkeypatch.setattr(cli, "initial_state", unreachable)
         out = tmp_path / "x.csv"
         code = main(run_args("--cutoff", str(2**31), "--method", "spectral",
                              "--out", str(out)))

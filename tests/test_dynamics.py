@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from milburnsim.dynamics import (
     SpectralPropagator,
     StepSizeError,
     WindowBudgetError,
+    block_pair_weights,
     block_propagators,
     effective_propagator,
     first_order_factor,
@@ -30,9 +33,12 @@ from milburnsim.fock import (
     matrix_exponential,
     poisson_pmf,
 )
-from milburnsim.hamiltonians import effective_hamiltonian_displaced
+from milburnsim.hamiltonians import (
+    displaced_photon_weights, effective_core_blocks,
+    effective_hamiltonian_displaced)
 from milburnsim.observables import (
-    closed_form_series, initial_density, state_expectation)
+    ATOM_STATE, closed_form_series, initial_density, initial_state,
+    state_expectation)
 from milburnsim.params import SystemParams, derived_params
 
 
@@ -90,13 +96,15 @@ class TestPropagatorBlock:
             assert blk[0, 0] == pytest.approx(np.exp(-1j * phase), abs=1e-12)
             assert blk[1, 1] == pytest.approx(np.exp(1j * phase), abs=1e-12)
 
-    def test_matches_dense_exponential(self, fig1b):
-        d = derived_params(fig1b)
-        blocks = block_propagators(1.0, fig1b)
-        for n in range(fig1b.dcut):
+    @pytest.mark.parametrize("epsilon", [0.5, 0.4 + 0.3j, 0.0])
+    def test_matches_dense_exponential(self, fig1b, epsilon):
+        p = replace(fig1b, epsilon=epsilon)
+        d = derived_params(p)
+        blocks = block_propagators(1.0, p)
+        for n in range(p.dcut):
             detuned = d.chi * n + d.delta_tilde
-            h2 = np.array([[detuned, fig1b.epsilon],
-                           [np.conjugate(fig1b.epsilon), -detuned]])
+            h2 = np.array([[detuned, p.epsilon],
+                           [np.conjugate(p.epsilon), -detuned]])
             np.testing.assert_allclose(blocks[n], matrix_exponential(-1j * h2),
                                        atol=1e-12)
 
@@ -287,8 +295,9 @@ class TestMilburnSpectral:
 
 class TestRealArithmetic:
     """A real h is diagonalised and its basis changed in float64; the same
-    problem conjugated by a diagonal phase unitary U = diag(e^{i phi_k})
-    is complex, with the same spectrum and the same series."""
+    problem conjugated by a field phase unitary U = I (x) diag(e^{i phi_n})
+    is complex, with the same spectrum and the same series, as U commutes
+    with every atom operator op (x) I."""
 
     @pytest.mark.parametrize("factor", [
         milburn_factor, first_order_factor, unitary_factor,
@@ -296,24 +305,20 @@ class TestRealArithmetic:
     def test_real_and_complex_paths_agree(self, factor):
         p = SystemParams(lam=1.0, epsilon=0.5, delta=2.0, gamma=40.0,
                          alpha=1.0, dcut=16)
-        h, rho0 = effective_hamiltonian_displaced(p), initial_density(p)
-        ops = [atom_field(SIGMA_X, identity_field(p.dcut)),
-               atom_field(SIGMA_Z, identity_field(p.dcut)), None]
-        phase = np.exp(1j * np.random.default_rng(3).uniform(
-            0.0, 2.0 * np.pi, len(h)))
-
-        def rotate(m):  # U m U^dag
-            return None if m is None else phase[:, None] * m * phase.conj()
+        h, psi = effective_hamiltonian_displaced(p), initial_state(p)
+        ops = [SIGMA_X, SIGMA_Z, None]
+        phase = np.tile(np.exp(1j * np.random.default_rng(3).uniform(
+            0.0, 2.0 * np.pi, p.dcut)), 2)
 
         real = SpectralPropagator(h, p.gamma)
-        rotated = SpectralPropagator(rotate(h), p.gamma)
+        rotated = SpectralPropagator(phase[:, None] * h * phase.conj(),
+                                     p.gamma)
         assert real.vectors.dtype == np.float64
         assert rotated.vectors.dtype == np.complex128
         times = np.linspace(0.0, 1.5, 7)
         for a, b in zip(
-                real.expectation_series(rho0, ops, times, factor),
-                rotated.expectation_series(
-                    rotate(rho0), [rotate(op) for op in ops], times, factor)):
+                real.expectation_series(psi, ops, times, factor),
+                rotated.expectation_series(phase * psi, ops, times, factor)):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
@@ -361,7 +366,7 @@ class TestSpectralExpectationSeries:
         prop = SpectralPropagator(h=h, gamma=1e3)
         x_op = atom_field(SIGMA_X, identity_field(p.dcut))
         times = np.linspace(0.0, 3.0, 15)
-        fast, = prop.expectation_series(rho0, [x_op], times)
+        fast, = prop.expectation_series(initial_state(p), [SIGMA_X], times)
         slow = [np.trace(prop.evolve(rho0, t) @ x_op).real for t in times]
         np.testing.assert_allclose(fast, slow, atol=1e-11)
 
@@ -418,44 +423,45 @@ class TestSeriesKernel:
         times = np.linspace(0.0, 1.5, 7)
         states = evolve(rho0, h, times, p.gamma)
         prop = SpectralPropagator(h=h, gamma=p.gamma)
-        for op in (atom_field(SIGMA_X, identity_field(p.dcut)),
-                   atom_field(SIGMA_Z, identity_field(p.dcut)), None):
-            series, = prop.expectation_series(rho0, [op], times, factor)
-            if op is None:
-                reference = [state_expectation(rho, None) for rho in states]
-            else:
-                reference = [np.trace(rho @ op).real for rho in states]
+        for op in (SIGMA_X, SIGMA_Z, None):
+            series, = prop.expectation_series(initial_state(p), [op], times,
+                                              factor)
+            reference = [state_expectation(rho, op) for rho in states]
             np.testing.assert_allclose(series.real, reference, rtol=0,
                                        atol=tol)
             assert np.max(np.abs(series.imag)) <= 1e-12
 
     def test_blocking_does_not_change_the_series(self, system, monkeypatch):
-        p, h, rho0 = system
+        p, h, _ = system
         prop = SpectralPropagator(h=h, gamma=p.gamma)
-        x_op = atom_field(SIGMA_X, identity_field(p.dcut))
+        psi = initial_state(p)
         times = np.linspace(0.0, 1.5, 7)
         factors = (milburn_factor, kick_count_factor)
         whole = [series for f in factors for series in
-                 prop.expectation_series(rho0, (x_op, None), times, f)]
+                 prop.expectation_series(psi, (SIGMA_X, None), times, f)]
         # blocks of one time row, kick sums in chunks of one kick count
         monkeypatch.setattr(dynamics, "SERIES_BLOCK", 1)
         blocked = [series for f in factors for series in
-                   prop.expectation_series(rho0, (x_op, None), times, f)]
+                   prop.expectation_series(psi, (SIGMA_X, None), times, f)]
         for a, b in zip(whole, blocked):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
 
     def test_dropped_weight_bound(self, system):
-        p, h, rho0 = system
+        p, h, _ = system
         prop = SpectralPropagator(h=h, gamma=p.gamma)
-        x_op = atom_field(SIGMA_X, identity_field(p.dcut))
-        rho_e = prop.vectors.conj().T @ rho0 @ prop.vectors
-        x_e = prop.vectors.conj().T @ x_op @ prop.vectors
+        psi = initial_state(p)
+        # the pure state's rho_e = c c^dag, c = V^dag psi, and the joint
+        # operator's eigenbasis image, both in float64 as h is real
+        amp = prop.vectors.T @ psi.real
+        prob = amp**2
+        x_op = atom_field(SIGMA_X, identity_field(p.dcut)).real
+        x_e = prop.vectors.T @ (x_op @ prop.vectors)
         times = np.linspace(0.0, 3.0, 11)
         j, k = np.triu_indices(2 * p.dcut, 1)
         omega = prop.energies[:, None] - prop.energies[None, :]
-        cases = ((x_op, rho_e * x_e.T,
+        cases = ((SIGMA_X, np.outer(amp, amp) * x_e.T,
                   lambda t: milburn_factor(omega, t, p.gamma)),
-                 (None, np.abs(rho_e) ** 2,
+                 (None, np.outer(prob, prob),
                   lambda t: np.abs(milburn_factor(omega, t, p.gamma)) ** 2))
         for op, weights, factors in cases:
             # folded weights 2 w_jk for j < k; the diagonal is never dropped
@@ -464,12 +470,50 @@ class TestSeriesKernel:
             assert 0.0 < dropped <= DROP_BUDGET == 1e-14
             lost = np.delete(folded, keep)
             assert np.sum(np.abs(lost)) == pytest.approx(dropped, rel=1e-12)
-            assert prop.folded_weights(rho0, [op])[0][3] == dropped
+            assert prop.folded_weights(psi, [op])[0][3] == dropped
             # |Re(2 w_jk F)| <= 2 |w_jk| for every factor, so the unpruned
             # sum differs from the kernel by at most the dropped weight
             full = [np.sum(weights * factors(t)) for t in times]
-            series, = prop.expectation_series(rho0, [op], times)
+            series, = prop.expectation_series(psi, [op], times)
             assert np.max(np.abs(series - full)) <= dropped + 1e-14
+
+
+class TestBlockPairWeights:
+    """block_pair_weights does not depend on how the eigenbasis is cut
+    into blocks: the closed form's 2x2 blocks at a complex drive give the
+    weights of the same blocks embedded in one dense block."""
+
+    @pytest.mark.parametrize("atom_op", [SIGMA_X, SIGMA_Z, None])
+    def test_closed_form_blocks_as_one_dense_block(self, fig1b, atom_op):
+        p = replace(fig1b, epsilon=0.4 + 0.3j)
+        _, vectors = np.linalg.eigh(effective_core_blocks(p))
+        amp = ((ATOM_STATE @ vectors.conj())
+               * np.sqrt(displaced_photon_weights(p))[:, None])
+        omega_n = rabi_blocks(p, np.arange(p.dcut))[1]
+        energies = np.stack([-omega_n, omega_n], axis=1)
+        blocks = (None if atom_op is None else
+                  np.swapaxes(vectors.conj(), 1, 2) @ atom_op @ vectors)
+        # the dense block in atom-level-major order, s dcut + n, as the
+        # joint space orders it
+        dense = None
+        if atom_op is not None:
+            dense = np.zeros((2, p.dcut, 2, p.dcut), dtype=complex)
+            n = np.arange(p.dcut)
+            dense[:, n, :, n] = blocks
+            dense = dense.reshape(1, 2 * p.dcut, 2 * p.dcut)
+        by_blocks = block_pair_weights(amp, energies, blocks)
+        by_dense = block_pair_weights(amp.T.reshape(1, -1),
+                                      energies.T.reshape(1, -1), dense)
+        # the same diagonal terms summed in another order
+        assert by_blocks[0] == pytest.approx(by_dense[0], rel=0, abs=1e-15)
+        for a, b in zip(by_blocks[1:3], by_dense[1:3]):
+            np.testing.assert_array_equal(a, b)
+        times = np.linspace(0.0, 12.0, 1200)
+        series = [folded_series(constant, weights, omega, times,
+                                milburn_factor, p.gamma,
+                                squared=atom_op is None)
+                  for constant, weights, omega, _ in (by_blocks, by_dense)]
+        np.testing.assert_allclose(*series, rtol=0, atol=1e-14)
 
 
 def stable_sort_prune(weights):
@@ -521,31 +565,36 @@ class TestPruneWeights:
         assert dropped == 3e-15 + 3e-15 + 3e-15
 
 
+def random_hermitian(rng, dim):
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return 0.5 * (m + m.conj().T)
+
+
+def random_state(rng, dim):
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return psi / np.linalg.norm(psi)
+
+
+def random_atom_operator(rng):
+    op = random_hermitian(rng, 2)
+    return op / np.linalg.norm(op, 2)
+
+
 @st.composite
 def hermitian_series_cases(draw):
-    """A random Hermitian h, density matrix and unit-norm Hermitian
-    observable of dimension <= 12, a gamma and a short time grid."""
-    dim = draw(st.integers(min_value=2, max_value=12))
+    """A random Hermitian h of dimension 2m <= 12, a pure state psi, a
+    unit-norm Hermitian 2x2 atom operator, a gamma and a short time
+    grid."""
+    dim = 2 * draw(st.integers(min_value=1, max_value=6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-
-    def gaussian():
-        return (rng.standard_normal((dim, dim))
-                + 1j * rng.standard_normal((dim, dim)))
-
-    def hermitian():
-        m = gaussian()
-        return 0.5 * (m + m.conj().T)
-
-    h = hermitian() * draw(st.floats(min_value=0.1, max_value=10.0))
-    a = gaussian()
-    rho = a @ a.conj().T
-    rho /= np.trace(rho).real
-    op = hermitian()
-    op /= np.linalg.norm(op, 2)
+    h = random_hermitian(rng, dim) * draw(st.floats(min_value=0.1,
+                                                    max_value=10.0))
+    psi = random_state(rng, dim)
+    op = random_atom_operator(rng)
     gamma = draw(st.floats(min_value=0.5, max_value=1e3))
     times = np.sort(draw(st.lists(st.floats(min_value=0.0, max_value=3.0),
                                   min_size=1, max_size=6, unique=True)))
-    return h, rho, op, gamma, times
+    return h, psi, op, gamma, times
 
 
 def direct_kick_sum(omega, t, gamma):
@@ -570,25 +619,27 @@ FACTORS_AND_DIRECT_SUMS = (
 )
 
 
-def assert_matches_unfolded_sum(h, rho, op, gamma, times, factors):
-    """folded_series against the plain complex sum over all eigenpairs,
-    within the dropped weight."""
+def assert_matches_unfolded_sum(h, psi, op, gamma, times, factors):
+    """folded_series of the pure state psi and the atom operator op
+    against the plain complex sum over all eigenpairs of the density
+    matrix and the joint operator op (x) I, within the dropped weight."""
     prop = SpectralPropagator(h=h, gamma=gamma)
-    rho_e = prop.vectors.conj().T @ rho @ prop.vectors
-    op_e = prop.vectors.conj().T @ op @ prop.vectors
+    rho_e = prop.vectors.conj().T @ np.outer(psi, psi.conj()) @ prop.vectors
+    op_e = (prop.vectors.conj().T @ np.kron(op, np.eye(len(h) // 2))
+            @ prop.vectors)
     omega = (prop.energies[:, None] - prop.energies[None, :]).ravel()
     for factor, direct in factors:
         f = direct(omega, times[:, None], gamma)
         for obs, full in ((op, f @ (rho_e * op_e.T).ravel()),
                           (None, np.abs(f) ** 2 @ np.abs(rho_e).ravel() ** 2)):
             (constant, weights, freqs, dropped), = prop.folded_weights(
-                rho, [obs])
+                psi, [obs])
             series = folded_series(constant, weights, freqs, times, factor,
                                    gamma, squared=obs is None)
             assert series.dtype == float
             assert np.max(np.abs(series - full)) <= dropped + 1e-14
             np.testing.assert_array_equal(
-                prop.expectation_series(rho, [obs], times, factor)[0], series)
+                prop.expectation_series(psi, [obs], times, factor)[0], series)
 
 
 class TestFoldedSeries:
@@ -608,17 +659,14 @@ class TestFoldedSeries:
         # in blocks of one row and kick chunks of a few counts
         monkeypatch.setattr(dynamics, "SERIES_BLOCK", series_block)
         rng = np.random.default_rng(7)
-        m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        h = 0.5 * (m + m.conj().T)
-        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
-        op = 0.5 * (a + a.conj().T)
-        op /= np.linalg.norm(op, 2)
+        h = random_hermitian(rng, 6)
+        psi = random_state(rng, 6)
+        op = random_atom_operator(rng)
         windows = [dynamics.poisson_window(1e4 * t) for t in (0.5, 1.0)]
         assert windows[0][0] > 8 and windows[1][0] > windows[0][1] + 1
         for times in ([0.0, 0.5, 1.0], [1.0, 0.0, 0.5]):
             assert_matches_unfolded_sum(
-                h, rho, op, 1e4, np.array(times),
+                h, psi, op, 1e4, np.array(times),
                 [(kick_count_factor, direct_kick_sum)])
 
     @pytest.mark.parametrize("times, anchored", [

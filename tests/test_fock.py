@@ -13,7 +13,6 @@ from milburnsim.fock import (
     CutoffTooSmallError,
     annihilation,
     atom_field,
-    block_diagonal,
     coherent_state,
     creation,
     density_from_state,
@@ -224,17 +223,6 @@ class TestJointOperators:
     def test_rejects_bad_atom_shape(self):
         with pytest.raises(ValueError):
             atom_field(np.eye(3), identity_field(4))
-
-    def test_block_assembly_layout(self):
-        # blocks[n, s, s'] at (s dcut + n, s' dcut + n), zero off the blocks
-        dcut = 7
-        rng = np.random.default_rng(3)
-        blocks = (rng.uniform(1.0, 2.0, (dcut, 2, 2))
-                  + 1j * rng.uniform(1.0, 2.0, (dcut, 2, 2)))
-        expected = np.zeros((2 * dcut, 2 * dcut), dtype=complex)
-        for n, block in enumerate(blocks):
-            expected[np.ix_([n, n + dcut], [n, n + dcut])] = block
-        np.testing.assert_array_equal(block_diagonal(blocks), expected)
 
 
 class TestMatrixExponential:

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from milburnsim.dynamics import SpectralPropagator
+from milburnsim.dynamics import SpectralPropagator, block_propagators
 from milburnsim.fock import (
-    SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Z, atom_field, block_diagonal,
-    displacement, identity_field, number)
+    SIGMA_MINUS, SIGMA_PLUS, SIGMA_X, SIGMA_Z, CutoffTooSmallError,
+    atom_field, displacement, identity_field, matrix_exponential, number)
 from milburnsim.hamiltonians import (
     compare_operators,
-    displaced_frame,
+    displaced_blocks,
     effective_core_blocks,
     effective_hamiltonian,
     effective_hamiltonian_displaced,
@@ -19,7 +19,7 @@ from milburnsim.hamiltonians import (
     small_rotation_exact,
     small_rotation_first_order,
 )
-from milburnsim.observables import initial_density, sigma_x_closed_form
+from milburnsim.observables import initial_state, sigma_x_closed_form
 from milburnsim.params import (
     DispersiveValidityWarning,
     SystemParams,
@@ -141,59 +141,89 @@ class TestEffectiveHamiltonian:
         assert np.max(np.abs(h - h.conj().T)) <= 1e-12
 
 
+def core_operator(p):
+    """The undisplaced core sz [chi N + delta_tilde] + eps s+ + eps* s-,
+    summed from atom_field products."""
+    d = derived_params(p)
+    ident = identity_field(p.dcut)
+    return (atom_field(SIGMA_Z, d.chi * number(p.dcut) + d.delta_tilde * ident)
+            + p.epsilon * atom_field(SIGMA_PLUS, ident)
+            + np.conjugate(p.epsilon) * atom_field(SIGMA_MINUS, ident))
+
+
+def displaced_joint(p, core):
+    """(I (x) D(beta)) core (I (x) D^dag(beta)) as a joint product."""
+    disp = atom_field(np.eye(2), displacement(derived_params(p).beta, p.dcut))
+    return disp @ core @ disp.conj().T
+
+
 class TestDisplacedForm:
     def test_core_is_displaced_form_at_zero_displacement(self):
         # the inner core is exactly what the displacement conjugates
         p = SystemParams(lam=1.0, epsilon=0.5, delta=2.0, gamma=1.0, dcut=16)
-        core = block_diagonal(effective_core_blocks(p))
-        assert np.max(np.abs(core - core.conj().T)) <= 1e-12
+        blocks = effective_core_blocks(p)
+        assert np.max(np.abs(blocks - np.swapaxes(blocks, 1, 2).conj())) \
+            <= 1e-12
         d = derived_params(p)
-        n = 3
-        assert core[n, n] == pytest.approx(d.chi * n + d.delta_tilde)
+        assert blocks[3, 0, 0] == pytest.approx(d.chi * 3 + d.delta_tilde)
 
     def test_core_diagonal_without_drive(self):
         p = SystemParams(lam=1.0, epsilon=0.0, delta=2.0, gamma=1.0, dcut=8)
-        core = block_diagonal(effective_core_blocks(p))
+        blocks = effective_core_blocks(p)
         d = derived_params(p)
-        expected = np.concatenate([d.chi * np.arange(8) + d.delta_tilde,
-                                   -(d.chi * np.arange(8) + d.delta_tilde)])
-        np.testing.assert_allclose(core, np.diag(expected), atol=1e-14)
+        detuned = d.chi * np.arange(8) + d.delta_tilde
+        np.testing.assert_allclose(
+            blocks, detuned[:, None, None] * SIGMA_Z, atol=1e-14)
 
     def test_core_is_assembled_from_its_blocks(self):
-        # the block stack against the operator form, at a complex drive
+        # the block stack against the operator form, at a complex drive:
+        # blocks[n, s, r] at (s dcut + n, r dcut + n), zero off the blocks
         p = SystemParams(lam=1.0, epsilon=0.5 + 0.3j, delta=2.0, gamma=1.0,
                          dcut=8)
-        d = derived_params(p)
-        ident = identity_field(8)
-        operator_form = (
-            atom_field(SIGMA_Z, d.chi * number(8) + d.delta_tilde * ident)
-            + p.epsilon * atom_field(SIGMA_PLUS, ident)
-            + np.conjugate(p.epsilon) * atom_field(SIGMA_MINUS, ident))
+        joint = core_operator(p).reshape(2, 8, 2, 8)
         blocks = effective_core_blocks(p)
-        np.testing.assert_array_equal(block_diagonal(blocks), operator_form)
         assert blocks.shape == (8, 2, 2)
-        np.testing.assert_array_equal(blocks[3], operator_form[3::8, 3::8])
+        n = np.arange(8)
+        np.testing.assert_array_equal(joint[:, n, :, n], blocks)
+        joint[:, n, :, n] = 0.0
+        assert not joint.any()
 
     def test_displacement_preserves_spectrum(self, fig1b):
         hd = effective_hamiltonian_displaced(fig1b)
-        hc = block_diagonal(effective_core_blocks(fig1b))
         ed = np.sort(np.linalg.eigvalsh(0.5 * (hd + hd.conj().T)))
-        ec = np.sort(np.linalg.eigvalsh(hc))
+        ec = np.sort(np.linalg.eigvalsh(core_operator(fig1b)))
         assert np.max(np.abs(ed[:40] - ec[:40])) <= 1e-8
 
     @pytest.mark.parametrize("epsilon", [0.5, 0.4 + 0.3j, 0.0])
     def test_field_factor_form_matches_joint_product(self, epsilon):
         # the atom blocks of field products against the joint product
-        # (I (x) D) blockdiag(h_n) (I (x) D^dag), which it replaces
+        # (I (x) D) blockdiag(h_n) (I (x) D^dag)
         p = SystemParams(lam=1.0, epsilon=epsilon, delta=2.0, gamma=1e3,
                          alpha=1.0, dcut=16)
-        disp = displaced_frame(p)
-        joint = disp @ block_diagonal(effective_core_blocks(p)) \
-            @ disp.conj().T
+        joint = displaced_joint(p, core_operator(p))
         h = effective_hamiltonian_displaced(p)
         np.testing.assert_allclose(h, 0.5 * (joint + joint.conj().T),
                                    rtol=0, atol=1e-14)
         assert h.dtype == (complex if np.imag(epsilon) else float)
+
+    @pytest.mark.parametrize("epsilon", [0.5, 0.4 + 0.3j, 0.0])
+    def test_displaced_propagator_blocks_match_joint_product(self, epsilon):
+        # complex blocks: the same four field products as the Hamiltonian
+        p = SystemParams(lam=1.0, epsilon=epsilon, delta=2.0, gamma=1e3,
+                         alpha=1.0, dcut=16)
+        u = displaced_blocks(p, block_propagators(0.7, p))
+        joint = displaced_joint(
+            p, matrix_exponential(-0.7j * core_operator(p)))
+        np.testing.assert_allclose(u, joint, rtol=0, atol=1e-13)
+        assert u.dtype == complex
+
+    def test_displaced_blocks_refuse_the_cutoff(self):
+        # beta = 5: |alpha - beta> (mean 56.25) does not fit cutoff 64
+        p = SystemParams(lam=0.1, epsilon=0.5, delta=2.0, gamma=1e3,
+                         alpha=-2.5, dcut=64)
+        with pytest.raises(CutoffTooSmallError,
+                           match="alpha = -2.5, beta = 5"):
+            displaced_blocks(p, block_propagators(0.7, p))
 
     def test_hermiticity(self, fig1b):
         # exactly: callers use it without taking the Hermitian part
@@ -255,9 +285,7 @@ class TestExactRewriting:
             return times[np.argmax(np.where(lobe, a, -1.0))] / unit
 
         prop = SpectralPropagator(interaction_hamiltonian(p), p.gamma)
-        full, = prop.expectation_series(
-            initial_density(p), [atom_field(SIGMA_X, identity_field(64))],
-            times)
+        full, = prop.expectation_series(initial_state(p), [SIGMA_X], times)
         core = revival(sigma_x_closed_form(p, times))
         assert core == pytest.approx(1.0, abs=0.01)
         assert revival(full) / core == pytest.approx(anchor, abs=0.03)

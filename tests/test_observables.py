@@ -9,15 +9,14 @@ from milburnsim.dynamics import DROP_BUDGET, SpectralPropagator
 from milburnsim.fock import (
     SIGMA_X,
     SIGMA_Z,
-    atom_field,
     coherent_state,
     density_from_state,
-    identity_field,
 )
 from milburnsim.hamiltonians import effective_hamiltonian_displaced
 from milburnsim.observables import (
     closed_form_series,
     initial_density,
+    initial_state,
     revival_metrics,
     sigma_x_closed_form,
     state_expectation,
@@ -30,8 +29,7 @@ def spectral_sigma_x_series(p, times):
     h = effective_hamiltonian_displaced(p)
     h = 0.5 * (h + h.conj().T)
     prop = SpectralPropagator(h=h, gamma=p.gamma)
-    x_op = atom_field(SIGMA_X, identity_field(p.dcut))
-    return prop.expectation_series(initial_density(p), [x_op], times)[0]
+    return prop.expectation_series(initial_state(p), [SIGMA_X], times)[0]
 
 
 param_sets = st.builds(
