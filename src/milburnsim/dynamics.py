@@ -12,8 +12,9 @@ Routes:
     folded_series in real arithmetic.  An exponential factor on an
     equispaced grid is a product of anchors and offsets, one
     vector-matrix product per anchor (ExponentialFactor.series); the kick
-    sum (KickCountFactor) is a series over the kick count whose per-count
-    sums are the unitary factor's series at the counts.
+    sum (KickCountFactor) is a series over the kick count, in time order,
+    whose per-count sums (the unitary factor's series at the counts) and
+    ln m! are each carried through the blocks as one run of counts.
     The initial state is pure, so the weights come from its eigenbasis
     amplitudes and the atom operator's image: SpectralPropagator passes
     one block from a dense eigh, in float64 for a real h, the closed form
@@ -32,7 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fock import matrix_exponential, poisson_pmf, real_if_real
+from .fock import (log_factorial, matrix_exponential, poisson_pmf,
+                   real_if_real)
 from .hamiltonians import displaced_blocks, effective_core_blocks, rabi_blocks
 from .params import SystemParams
 
@@ -227,50 +229,55 @@ first_order_factor = ExponentialFactor(first_order_exponent)
 unitary_factor = ExponentialFactor(unitary_exponent)
 
 
-def _window_union(m_lo, m_hi):
-    """The kick counts of the union of the windows [m_lo, m_hi], sorted:
-    overlapping or adjacent windows merged, gaps left out."""
-    order = np.argsort(m_lo, kind="stable")
-    lo, reach = m_lo[order], np.maximum.accumulate(m_hi[order])
-    last = np.append(lo[1:] > reach[:-1] + 1, True)  # a run ends here
-    return np.concatenate([np.arange(a, b + 1) for a, b in zip(
-        lo[np.roll(last, 1)], reach[last])])
+def _carried(run, lo, hi, evaluate):
+    """The run (lo, values) of evaluate at the counts lo, lo + 1, .. up to
+    hi or past it, from the run (first <= lo, values) before it: the
+    counts that run holds are sliced, those above it evaluated at once."""
+    first, values = run
+    fresh = np.arange(max(lo, first + len(values)), hi + 1)
+    return lo, np.concatenate([values[lo - first:], evaluate(fresh)])
 
 
 class KickCountFactor:
     """Milburn's kick sum F(w, t) = sum_m p_m(gamma t) e^{-i m w/gamma}
     over milburn_poisson_evolve's renormalized window, summed over the
     kick count m.  With theta_p = omega_p/gamma, a linear observable is
-    sum_m p_m g_m, g_m = Re sum_p w_p e^{-i m theta_p}, computed once per
-    kick count of the union of the windows (on an increasing time grid)
-    as unitary_factor's series at the times m: a block's new counts form
-    one run on an increasing grid, an equispaced grid that takes the
-    anchor x offset product, while a run with gaps takes one anchor per
-    count.
-    The purity is A_0 g_0 + 2 sum_{d>=1} A_d g_d over the lags d, with
-    the autocorrelation A_d = sum_m p_m p_{m+d} of each row's weights from
-    one rfft per block of rows.  A block holds at most SERIES_BLOCK/2
-    window weights and as many g values, or a single row's window."""
+    sum_m p_m g_m, g_m = Re sum_p w_p e^{-i m theta_p}; the purity is
+    A_0 g_0 + 2 sum_{d>=1} A_d g_d over the lags d, with the
+    autocorrelation A_d = sum_m p_m p_{m+d} of each row's weights from one
+    rfft per block of rows.  In time order the windows only move up and
+    the lags start at 0 in every block, so g and ln m! are each one run
+    (first count, values) carried through the blocks: a block evaluates
+    the counts above it as one equispaced run (g as unitary_factor's
+    series at the times m) and reads a row's window at m - first.  A block
+    holds at most SERIES_BLOCK/2 window weights and counts, or one row."""
 
     def series(self, weights, omega, times, gamma, squared):
+        order = np.argsort(times, kind="stable")
+        means = gamma * times[order]
         # every window is checked before any array is allocated
-        windows = np.array([poisson_window(gamma * t) for t in times],
+        windows = np.array([poisson_window(x) for x in means],
                            dtype=np.int64).reshape(-1, 2)
         width = int(np.max(np.diff(windows), initial=0)) + 1
-        rows = max(1, SERIES_BLOCK // (2 * width))
-        theta = omega / gamma
-        union, g = np.empty(0, dtype=np.int64), np.empty(0)
+        rows, theta = max(1, SERIES_BLOCK // (2 * width)), omega / gamma
+        g = ln_fact = (0, np.empty(0))
         out = np.empty(len(times))
         # work arrays, reused, so that no block faults in fresh pages
-        ints = np.empty((rows, width), dtype=np.int64)
+        ints = np.empty((2, rows, width), dtype=np.int64)
         reals = np.empty((2, rows, width))
-        for start in range(0, len(times), rows):
-            m_lo, m_hi = windows[start:start + rows].T
+        start = 0
+        while start < len(times):  # rows whose counts fit, or one row
+            stop = max(start + 1, min(start + rows, np.searchsorted(
+                windows[:, 1], windows[start, 0] + SERIES_BLOCK // 2)))
+            m_lo, m_hi = windows[start:stop].T
             offset = np.arange(np.max(m_hi - m_lo) + 1)
             block = np.s_[:len(m_lo), :len(offset)]
-            kicks = np.add.outer(m_lo, offset, out=ints[block])
-            p = poisson_pmf(kicks, gamma * times[start:start + rows, None],
-                            out=reals[0][block])
+            kicks = np.add.outer(m_lo, offset, out=ints[0][block])
+            ln_fact = _carried(ln_fact, m_lo[0], kicks[-1, -1], log_factorial)
+            at = np.add.outer(m_lo - ln_fact[0], offset, out=ints[1][block])
+            ln_m = np.take(ln_fact[1], at, mode="clip", out=reals[1][block])
+            p = poisson_pmf(kicks, means[start:stop, None],
+                            out=reals[0][block], log_factorials=ln_m)
             p[kicks > m_hi[:, None]] = 0.0
             p /= p.sum(axis=1, keepdims=True)
             if squared:  # A_0, 2 A_1, 2 A_2, ... on the lags as kick counts
@@ -280,18 +287,13 @@ class KickCountFactor:
                                  n)[:, :len(offset)]
                 p[:, 1:] *= 2.0
                 m_lo, m_hi = np.zeros_like(m_lo), m_hi - m_lo
-            # g over the union of the windows, reusing the previous block's
-            new_union = _window_union(m_lo, m_hi)
-            known = np.isin(new_union, union)
-            new_g = np.empty(len(new_union))
-            new_g[known] = g[np.searchsorted(union, new_union[known])]
-            new_g[~known] = unitary_factor.series(
-                weights, theta, new_union[~known].astype(float), gamma, False)
-            union, g = new_union, new_g
-            # each window is a contiguous run of the union
-            at = np.add.outer(np.searchsorted(union, m_lo), offset, out=kicks)
-            out[start:start + rows] = np.einsum("ij,ij->i", p, np.take(
-                g, at, mode="clip", out=reals[1][block]))
+            g = _carried(g, m_lo[0], np.max(m_hi), lambda m: (
+                unitary_factor.series(weights, theta, m.astype(float), gamma,
+                                      False)))
+            at = np.add.outer(m_lo - g[0], offset, out=ints[1][block])
+            out[order[start:stop]] = np.einsum("ij,ij->i", p, np.take(
+                g[1], at, mode="clip", out=reals[1][block]))
+            start = stop
         return out
 
 

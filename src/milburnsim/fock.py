@@ -105,7 +105,8 @@ def coherent_state(alpha, dcut):
 def log_factorial(m):
     """ln m! for integer array-like m >= 0: math.lgamma values for
     m < 64, above that the Stirling series in x = m + 1 through its 1/x^7
-    term.  Within 3 ulp of ln m! up to m = 3e7, as is math.lgamma."""
+    term.  Within 3 ulp of ln m!, as is math.lgamma, up to m = 3.91e7,
+    the largest kick count that a Poisson window may hold."""
     m = np.asarray(m)
     small = m < len(_LOG_FACTORIAL_TABLE)
     x = np.where(small, len(_LOG_FACTORIAL_TABLE), m + 1.0)
@@ -116,17 +117,16 @@ def log_factorial(m):
     return np.where(small, table, stirling)
 
 
-def poisson_pmf(m, mean, out=None):
+def poisson_pmf(m, mean, out=None, log_factorials=None):
     """Poisson probabilities p_m = e^{-mean} mean^m / m! for integer m and
     a mean that broadcasts against m (a column of means gives one row
     each), in log space so that large means neither overflow nor
     underflow: exp(m ln(mean) - log_factorial(m) - mean), 0^0 = 1 at mean
-    0; into ``out`` if given, with ln m! taken once per integer of [min m,
-    max m] where that is shorter than m.  Over the window of
-    dynamics.poisson_window it is within 3.2e-15 of scipy.stats.poisson.pmf
-    for means up to 100 and 6.5e-13 up to 1e6; both carry the rounding of
-    m ln(mean), which grows with the mean (1.2e-13 from the exact value at
-    mean 1e4)."""
+    0; into ``out``, and with ``log_factorials`` as ln m!, if given.  Over
+    the window of dynamics.poisson_window it is within 3.2e-15 of
+    scipy.stats.poisson.pmf for means up to 100 and 6.5e-13 up to 1e6;
+    both carry the rounding of m ln(mean), which grows with the mean
+    (1.2e-13 from the exact value at mean 1e4)."""
     m, mean = np.asarray(m), np.asarray(mean, dtype=float)
     # math.log: np.log differs from it in the last bit of some means
     log_mean = np.reshape([math.log(x) if x > 0 else -math.inf
@@ -134,9 +134,7 @@ def poisson_pmf(m, mean, out=None):
     with np.errstate(invalid="ignore"):  # 0 * -inf at mean 0
         out = np.asarray(np.multiply(m, log_mean, out=out))  # 0-d m too
     np.copyto(out, 0.0, where=m == 0)
-    lo, hi = (m.min(), m.max()) if m.size else (0, -1)
-    out -= (log_factorial(np.arange(lo, hi + 1))[m - lo]
-            if hi - lo + 1 < m.size else log_factorial(m))
+    out -= log_factorial(m) if log_factorials is None else log_factorials
     return np.exp(np.subtract(out, mean, out=out), out=out)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from milburnsim import dynamics
+from milburnsim import dynamics, fock
 from milburnsim.dynamics import (
     DROP_BUDGET,
     SpectralPropagator,
@@ -669,17 +669,17 @@ class TestFoldedSeries:
                 h, psi, op, 1e4, np.array(times),
                 [(kick_count_factor, direct_kick_sum)])
 
-    @pytest.mark.parametrize("times, anchored", [
+    @pytest.mark.parametrize("times, overlapping", [
         # the CLI's default gamma near its last time, 12: windows of about
-        # 55 000 kick counts near m = 1.2e7, one row per block, and each
-        # block's new counts one run, taken by anchors and offsets
+        # 55 000 kick counts near m = 1.2e7, one row per block
         ([11.98, 11.99, 12.0], True),
-        # windows of 1600 to 2800 counts near m = 1e4 .. 3e4: one block,
-        # whose union leaves gaps, so every count is its own anchor
+        # windows of 1600 to 2800 counts near m = 1e4 .. 3e4 with gaps
+        # between them: the first two rows' run of 11 934 counts fits the
+        # budget and spans their gap, the third row is a block of its own
         ([0.01, 0.02, 0.03], False),
     ])
     def test_kick_count_series_at_the_cli_scale(self, monkeypatch, times,
-                                                 anchored):
+                                                 overlapping):
         gamma, times = 1e6, np.array(times)
         rng = np.random.default_rng(11)
         weights = (rng.uniform(-1, 1, 12) + 1j * rng.uniform(-1, 1, 12)) / 24
@@ -687,14 +687,20 @@ class TestFoldedSeries:
         windows = [dynamics.poisson_window(gamma * t) for t in times]
         gaps = any(lo > hi + 1 for (_, hi), (lo, _) in zip(windows,
                                                            windows[1:]))
-        assert gaps != anchored
+        assert gaps != overlapping
         direct = direct_kick_sum(omega, times, gamma)
         taken, rows_per_anchor = [], dynamics.rows_per_anchor
         monkeypatch.setattr(dynamics, "rows_per_anchor", lambda *args: (
-            taken.append(rows_per_anchor(*args)) or taken[-1]))
+            taken.append((len(args[0]), rows_per_anchor(*args)))
+            or taken[-1][1]))
         series = folded_series(0.25, weights, omega, times, kick_count_factor,
                                gamma)
-        assert taken and all((r > 1) == anchored for r in taken)
+        # every run of g, across gaps or not, is one equispaced run of
+        # counts, taken by anchors and offsets, of at most SERIES_BLOCK/2
+        # counts or one row's window
+        budget = max(dynamics.SERIES_BLOCK // 2,
+                     max(hi - lo + 1 for lo, hi in windows))
+        assert taken and all(r > 1 and n <= budget for n, r in taken)
         np.testing.assert_allclose(series, 0.25 + (direct @ weights).real,
                                    rtol=0, atol=1e-12)
         # the purity's lags: one run from 0 per block, whatever the gaps
@@ -703,6 +709,68 @@ class TestFoldedSeries:
         np.testing.assert_allclose(
             series, 0.25 + np.abs(direct) ** 2 @ weights.real, rtol=0,
             atol=1e-12)
+
+    @pytest.mark.parametrize("squared", [False, True])
+    def test_kick_count_series_evaluates_each_count_once(self, monkeypatch,
+                                                         squared):
+        # an increasing grid of overlapping windows, in blocks of several
+        # rows: g (at the kick counts, or at the purity's lags) and ln m!
+        # are each evaluated at one run of counts, each count once
+        gamma, times = 1e3, np.linspace(0.0, 12.0, 1200)
+        windows = np.array([dynamics.poisson_window(gamma * t)
+                            for t in times])
+        assert np.all(windows[1:, 0] <= windows[:-1, 1] + 1)
+        assert dynamics.SERIES_BLOCK // (2 * np.max(np.diff(windows))) > 1
+        rng = np.random.default_rng(5)
+        weights = rng.uniform(-1, 1, 12) / 24
+        omega = rng.uniform(-10.0, 10.0, 12)
+        seen = {"g": [], "ln m!": []}
+        unitary_series, log_factorial = (dynamics.unitary_factor.series,
+                                         fock.log_factorial)
+
+        class UnitarySpy:
+            def series(self, weights, omega, times, gamma, squared):
+                seen["g"].append(np.array(times))
+                return unitary_series(weights, omega, times, gamma, squared)
+
+        def log_factorial_spy(m):
+            seen["ln m!"].append(np.ravel(m))
+            return log_factorial(m)
+
+        monkeypatch.setattr(dynamics, "unitary_factor", UnitarySpy())
+        monkeypatch.setattr(dynamics, "log_factorial", log_factorial_spy)
+        monkeypatch.setattr(fock, "log_factorial", log_factorial_spy)
+        series = folded_series(0.25, weights, omega, times, kick_count_factor,
+                               gamma, squared=squared)
+        assert np.all(np.isfinite(series))
+        g, ln_factorial = (np.concatenate(seen[k]) for k in ("g", "ln m!"))
+        if squared:  # the lags 0 .. the widest window's
+            np.testing.assert_array_equal(
+                g, np.arange(np.max(np.diff(windows)) + 1))
+        else:
+            np.testing.assert_array_equal(
+                g, np.arange(windows[0, 0], windows[-1, 1] + 1))
+        # ln m! up to the last window's start plus its block's widest
+        # window, at or past the last window's top
+        assert ln_factorial[-1] >= windows[-1, 1]
+        np.testing.assert_array_equal(
+            ln_factorial, np.arange(windows[0, 0], ln_factorial[-1] + 1))
+
+    @pytest.mark.parametrize("squared", [False, True])
+    def test_kick_count_series_in_any_time_order(self, squared):
+        # a shuffled grid, with a repeated time, gives the sorted grid's
+        # values, permuted, bit for bit
+        rng = np.random.default_rng(3)
+        weights = rng.uniform(-1, 1, 12) / 24
+        if not squared:
+            weights = weights + 1j * rng.uniform(-1, 1, 12) / 24
+        omega = rng.uniform(-10.0, 10.0, 12)
+        times = np.sort(np.r_[np.linspace(0.0, 3.0, 150), 1.5])
+        shuffle = rng.permutation(len(times))
+        values = [folded_series(0.25, weights, omega, grid, kick_count_factor,
+                                1e3, squared=squared)
+                  for grid in (times, times[shuffle])]
+        np.testing.assert_array_equal(values[1], values[0][shuffle])
 
 
 class TestAnchorOffsetSeries:

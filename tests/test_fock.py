@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -24,7 +25,8 @@ from milburnsim.fock import (
     number,
     poisson_pmf,
 )
-from milburnsim.dynamics import poisson_window
+from milburnsim.dynamics import (
+    POISSON_MAX_TERMS, WindowBudgetError, poisson_window)
 
 
 class TestLadderOperators:
@@ -161,8 +163,15 @@ class TestPoisson:
     def test_log_factorial_matches_gammaln(self):
         from scipy.special import gammaln
 
+        # up to the largest kick count that a Poisson window may hold,
+        # about 3.91e7: its half-width 8 sqrt(mean + 1) is at most half
+        half = (POISSON_MAX_TERMS - 1) / 2
+        top = math.ceil((half / 8) ** 2 - 1 + half)
+        with pytest.raises(WindowBudgetError):
+            poisson_window((half / 8) ** 2)
         m = np.unique(np.r_[np.arange(5001), [63, 64, 65],
-                            np.logspace(0, 7, 400).astype(np.int64)])
+                            np.geomspace(1, top, 400).astype(np.int64),
+                            np.arange(top - 1000, top + 1)])
         exact = gammaln(m + 1.0)
         gap = np.abs(log_factorial(m) - exact)
         assert np.all(gap <= 4 * np.spacing(exact))
@@ -197,11 +206,14 @@ class TestPoisson:
         into = poisson_pmf(m, means[:, None], out=work[1:6, 3:23])
         assert into.base is work
         np.testing.assert_array_equal(into, p)
-        # overlapping windows, as the kick-count series passes them: ln m!
-        # once per integer of their range, the same values row by row
+        # overlapping windows, as the kick-count series passes them, with
+        # ln m! gathered from one run of counts, as it passes that: the
+        # same values row by row
         kicks = np.arange(9990, 10010) + np.array([[0], [3], [5]])
         means = np.array([9990.0, 1e4, 10012.5])
-        p = poisson_pmf(kicks, means[:, None])
+        run = log_factorial(np.arange(9990, 10015))
+        p = poisson_pmf(kicks, means[:, None], log_factorials=run[kicks - 9990])
+        np.testing.assert_array_equal(p, poisson_pmf(kicks, means[:, None]))
         for row, window, mean in zip(p, kicks, means):
             np.testing.assert_array_equal(row, poisson_pmf(window, mean))
 
