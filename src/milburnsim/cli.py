@@ -46,14 +46,14 @@ from .observables import (
     sigma_x_closed_form, state_expectation)
 from .params import SystemParams, derived_params
 
-# Each method's Hamiltonian and its scalar factor F(omega, t, gamma) per
-# eigenfrequency; closed-form takes its eigenbasis from the 2x2 blocks.
+# Each method's eigenbasis (None: the 2x2 photon-number blocks, else the
+# Hamiltonian to diagonalise) and its factor F(omega, t, gamma) per pair.
 METHODS = {
-    "closed-form": None,
+    "closed-form": (None, milburn_factor),
     "spectral": (effective_hamiltonian_displaced, milburn_factor),
-    "poisson": (effective_hamiltonian_displaced, kick_count_factor),
-    "lindblad": (effective_hamiltonian_displaced, first_order_factor),
-    "schrodinger": (effective_hamiltonian_displaced, unitary_factor),
+    "poisson": (None, kick_count_factor),
+    "lindblad": (None, first_order_factor),
+    "schrodinger": (None, unitary_factor),
     "full-oracle": (interaction_hamiltonian, milburn_factor),
 }
 # Each observable's atom operator; None is the purity.
@@ -173,10 +173,10 @@ def compute_series(cfg: RunConfig):
     Returns (times, columns) with one column per observable.
     """
     # numpy refuses an array of more than intp max bytes with a ValueError;
-    # every route but the closed form builds (2 cutoff)^2 matrices, H and
-    # its eigenvectors, complex at a complex drive
-    cutoff_bytes = (8 * cfg.dcut if METHODS[cfg.method] is None
-                    else 16 * (2 * cfg.dcut) ** 2)
+    # the dense routes build (2 cutoff)^2 matrices, H and its eigenvectors,
+    # complex at a complex drive
+    hamiltonian, factor = METHODS[cfg.method]
+    cutoff_bytes = 16 * (2 * cfg.dcut) ** 2 if hamiltonian else 8 * cfg.dcut
     for flag, count, size in (("steps", cfg.steps, 8 * cfg.steps),
                               ("cutoff", cfg.dcut, cutoff_bytes)):
         if size > np.iinfo(np.intp).max:
@@ -184,12 +184,12 @@ def compute_series(cfg: RunConfig):
                               "bytes, more than numpy can size")
     times = np.linspace(0.0, cfg.tmax, cfg.steps)
     ops = [ATOM_OPERATORS[name] for name in cfg.observables]
-    if METHODS[cfg.method] is None:
-        # sigma_x by the name fig1 calls it: one binding serves both
-        return times, [sigma_x_closed_form(cfg, times) if op is SIGMA_X
-                       else closed_form_series(cfg, op, times) for op in ops]
+    if hamiltonian is None:  # sigma_x by fig1's name: one binding for both
+        return times, [
+            sigma_x_closed_form(cfg, times)
+            if op is SIGMA_X and factor is milburn_factor
+            else closed_form_series(cfg, op, times, factor) for op in ops]
 
-    hamiltonian, factor = METHODS[cfg.method]
     prop = SpectralPropagator(h=hamiltonian(cfg), gamma=cfg.gamma)
     return times, prop.expectation_series(initial_state(cfg), ops, times,
                                           factor)

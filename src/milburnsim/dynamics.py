@@ -14,11 +14,14 @@ Routes:
     vector-matrix product per anchor (ExponentialFactor.series); the kick
     sum (KickCountFactor) is a series over the kick count, in time order,
     whose per-count sums (the unitary factor's series at the counts) and
-    ln m! are each carried through the blocks as one run of counts.
+    ln m! are each carried through the blocks as one run of counts, and
+    whose purity takes that series at all its lags in one call.
     The initial state is pure, so the weights come from its eigenbasis
-    amplitudes and the atom operator's image: SpectralPropagator passes
-    one block from a dense eigh, in float64 for a real h, the closed form
-    one 2x2 block per photon number;
+    amplitudes and the atom operator's image.  The closed form and the
+    kick-sum, first-order and unitary routes take one 2x2 block per
+    photon number (observables.closed_form_series); SpectralPropagator
+    passes one block from a dense eigh, in float64 for a real h, for the
+    spectral and full-oracle routes;
   * state-level routes kept as independent references for that kernel:
     exact intrinsic-decoherence evolution as a Poisson-weighted sum of
     repeated unitary kicks (milburn_poisson_evolve) or in spectral
@@ -87,19 +90,21 @@ def poisson_window(mean):
     for every mean: it peaks at 8.4e-11 near mean 2.67 (window [0, 18]),
     falls below 1e-12 from a mean of about 43 on and tends to the
     two-sided 8 sigma Gaussian tail, 1.2e-15, for large means.
+
+    Floor and ceil widen the window by less than 2, so it holds fewer
+    than 2 half + 3 counts.  A mean is refused when that bound passes
+    POISSON_MAX_TERMS, before any rounding: the bound grows with the
+    mean, so every mean above a refused one is refused too.
     """
     half = 8.0 * math.sqrt(mean + 1.0)
-    m_lo = max(0, int(math.floor(mean - half)))
-    m_hi = int(math.ceil(mean + half))
-    # unrounded too: at a huge mean, half is lost in mean +- half
-    terms = max(2.0 * half + 1.0, m_hi - m_lo + 1)
+    terms = 2.0 * half + 3.0
     if terms > POISSON_MAX_TERMS:
         raise WindowBudgetError(
-            f"Poisson window of {terms:.6g} kick counts at mean {mean:.6g} "
-            f"exceeds {POISSON_MAX_TERMS} terms; "
+            f"Poisson window of up to {terms:.6g} kick counts at mean "
+            f"{mean:.6g} exceeds {POISSON_MAX_TERMS} terms; "
             "use the spectral route for large gamma*t"
         )
-    return m_lo, m_hi
+    return max(0, int(math.floor(mean - half))), int(math.ceil(mean + half))
 
 
 def milburn_poisson_evolve(rho0, h, t, gamma):
@@ -245,12 +250,14 @@ class KickCountFactor:
     sum_m p_m g_m, g_m = Re sum_p w_p e^{-i m theta_p}; the purity is
     A_0 g_0 + 2 sum_{d>=1} A_d g_d over the lags d, with the
     autocorrelation A_d = sum_m p_m p_{m+d} of each row's weights from one
-    rfft per block of rows.  In time order the windows only move up and
-    the lags start at 0 in every block, so g and ln m! are each one run
+    rfft per block of rows.  g is unitary_factor's series at the times m.
+    The purity's lags run from 0 to the widest window's width, so g at
+    all of them is one call before the blocks.  In time order the windows
+    only move up, so g at the kick counts and ln m! are each one run
     (first count, values) carried through the blocks: a block evaluates
-    the counts above it as one equispaced run (g as unitary_factor's
-    series at the times m) and reads a row's window at m - first.  A block
-    holds at most SERIES_BLOCK/2 window weights and counts, or one row."""
+    the counts above it as one equispaced run and reads a row's window at
+    m - first.  A block holds at most SERIES_BLOCK/2 window weights and
+    counts, or one row."""
 
     def series(self, weights, omega, times, gamma, squared):
         order = np.argsort(times, kind="stable")
@@ -260,7 +267,13 @@ class KickCountFactor:
                            dtype=np.int64).reshape(-1, 2)
         width = int(np.max(np.diff(windows), initial=0)) + 1
         rows, theta = max(1, SERIES_BLOCK // (2 * width)), omega / gamma
-        g = ln_fact = (0, np.empty(0))
+
+        def kick_sums(m):  # g at the kick counts (or lags) m
+            return unitary_factor.series(weights, theta, m.astype(float),
+                                         gamma, False)
+
+        g = (0, kick_sums(np.arange(width)) if squared else np.empty(0))
+        ln_fact = (0, np.empty(0))
         out = np.empty(len(times))
         # work arrays, reused, so that no block faults in fresh pages
         ints = np.empty((2, rows, width), dtype=np.int64)
@@ -286,10 +299,9 @@ class KickCountFactor:
                 p = np.fft.irfft(spectrum.real**2 + spectrum.imag**2,
                                  n)[:, :len(offset)]
                 p[:, 1:] *= 2.0
-                m_lo, m_hi = np.zeros_like(m_lo), m_hi - m_lo
-            g = _carried(g, m_lo[0], np.max(m_hi), lambda m: (
-                unitary_factor.series(weights, theta, m.astype(float), gamma,
-                                      False)))
+                m_lo = np.zeros_like(m_lo)
+            else:
+                g = _carried(g, m_lo[0], np.max(m_hi), kick_sums)
             at = np.add.outer(m_lo - g[0], offset, out=ints[1][block])
             out[order[start:stop]] = np.einsum("ij,ij->i", p, np.take(
                 g[1], at, mode="clip", out=reals[1][block]))
@@ -385,8 +397,8 @@ def folded_series(constant, weights, omega, times, factor, gamma,
 
 @dataclass
 class SpectralPropagator:
-    """Eigendecomposition of h and the series kernel of every
-    density-matrix route.  A real h (no imaginary part, whatever its
+    """Eigendecomposition of h and the series kernel of the dense routes
+    (spectral, full-oracle).  A real h (no imaginary part, whatever its
     dtype) is diagonalised in float64 and its eigenvectors are real; a
     real state or operator then reaches the eigenbasis in float64 too.
     Read-only after construction; safe to share across workers."""

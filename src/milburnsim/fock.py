@@ -79,26 +79,36 @@ def displacement(beta, dcut):
 
 
 def photon_weights(mean, dcut, state="a coherent state"):
-    """Poisson photon-number weights of a coherent state, n = 0..dcut-1.
+    """Poisson photon-number weights of a coherent state, n = 0 up to the
+    last one that is nonzero in float64, at most dcut-1: the weights past
+    it are exact zeros, so a cutoff far above the state costs nothing.
     The one truncation rule: CutoffTooSmallError naming ``state`` when the
     mass beyond dcut-1 exceeds COHERENT_TAIL_TOL, ValueError if not finite."""
     _check_cutoff(dcut)
     if not np.isfinite(mean):
         raise ValueError(f"mean photon number must be finite, got {mean}")
-    weights = poisson_pmf(np.arange(dcut), mean)
+    # above the mean the weights fall: once one is 0, so is every later one
+    count = min(dcut, 64)
+    weights = poisson_pmf(np.arange(count), mean)
+    while count < dcut and (weights[-1] > 0 or count <= mean):
+        count = min(dcut, 2 * count)
+        weights = poisson_pmf(np.arange(count), mean)
     tail = 1.0 - weights.sum()
     if tail > COHERENT_TAIL_TOL:
         raise CutoffTooSmallError(
             f"{state} of mean photon number {mean:.6g} leaves tail "
             f"mass {tail:.3e} beyond cutoff {dcut}; increase the cutoff")
-    return weights
+    return weights[:np.flatnonzero(weights)[-1] + 1]
 
 
 def coherent_state(alpha, dcut):
     """Coherent state |alpha> on the truncated basis, renormalized:
-    amplitudes sqrt(photon_weights(|alpha|^2, dcut)) e^{i n arg alpha}."""
-    amps = np.sqrt(photon_weights(abs(alpha) ** 2, dcut)) \
-        * np.exp(1j * np.arange(dcut) * np.angle(alpha))
+    amplitudes sqrt(photon_weights(|alpha|^2, dcut)) e^{i n arg alpha},
+    zero past the last nonzero weight."""
+    weights = photon_weights(abs(alpha) ** 2, dcut)
+    amps = np.zeros(dcut, dtype=complex)
+    amps[:len(weights)] = np.sqrt(weights) * np.exp(
+        1j * np.arange(len(weights)) * np.angle(alpha))
     return amps / np.linalg.norm(amps)
 
 

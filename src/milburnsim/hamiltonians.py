@@ -76,12 +76,13 @@ def rabi_blocks(p: SystemParams, n):
     return detuned, np.hypot(detuned, abs(p.epsilon))
 
 
-def effective_core_blocks(p: SystemParams):
-    """The (dcut, 2, 2) stack of photon-number blocks of the undisplaced
-    core, h_n = [[Delta_n, eps], [eps*, -Delta_n]] in the atom basis
-    (|e>, |g>), with Delta_n from rabi_blocks."""
-    detuned, _ = rabi_blocks(p, np.arange(p.dcut))
-    blocks = np.empty((p.dcut, 2, 2), dtype=complex)
+def effective_core_blocks(p: SystemParams, count=None):
+    """The (count, 2, 2) stack of photon-number blocks of the undisplaced
+    core, n = 0 .. count-1 (default: the cutoff), h_n = [[Delta_n, eps],
+    [eps*, -Delta_n]] in the atom basis (|e>, |g>), with Delta_n from
+    rabi_blocks."""
+    detuned, _ = rabi_blocks(p, np.arange(p.dcut if count is None else count))
+    blocks = np.empty((len(detuned), 2, 2), dtype=complex)
     blocks[:, 0, 0], blocks[:, 1, 1] = detuned, -detuned
     blocks[:, 0, 1], blocks[:, 1, 0] = p.epsilon, np.conjugate(p.epsilon)
     return blocks
@@ -89,8 +90,9 @@ def effective_core_blocks(p: SystemParams):
 
 def displaced_photon_weights(p: SystemParams):
     """Photon weights of |alpha - beta>, the field of the core's frame at
-    every time, as the core conserves photon number; refuses a cutoff
-    that it does not fit (fock.photon_weights), naming alpha and beta."""
+    every time, as the core conserves photon number, up to the last
+    nonzero one; refuses a cutoff that it does not fit
+    (fock.photon_weights), naming alpha and beta."""
     beta = derived_params(p).beta
     return photon_weights(
         abs(p.alpha - beta) ** 2, p.dcut,

@@ -37,29 +37,30 @@ def initial_density(p: SystemParams):
     return density_from_state(initial_state(p))
 
 
-def closed_form_series(p: SystemParams, atom_op, t):
-    """Tr(rho(t) atom_op (x) I) under Milburn's equation (``atom_op=None``:
+def closed_form_series(p: SystemParams, atom_op, t, factor=milburn_factor):
+    """Tr(rho(t) atom_op (x) I) under the route's ``factor`` (``atom_op=None``:
     purity), vectorized over t, from the blocks h_n of the displaced frame,
     where the field is |alpha - beta> at every time and atom_op (x) I
     commutes with D(beta).  In the eigenbasis V_n of h_n (a batched 2x2
     eigh) the state's amplitudes are sqrt(p_n) V_n^dag ATOM_STATE, p_n =
     displaced_photon_weights, and atom_op's blocks V_n^dag atom_op V_n,
-    from which block_pair_weights builds the series' weights."""
+    from which block_pair_weights builds the series' weights.  p_n ends at
+    the last nonzero weight, so the cost follows the state, not the cutoff."""
     warn_if_not_dispersive(p)
     t = np.asarray(t, dtype=float)
-    _, vectors = np.linalg.eigh(effective_core_blocks(p))
+    p_n = displaced_photon_weights(p)
+    _, vectors = np.linalg.eigh(effective_core_blocks(p, len(p_n)))
     # eigh orders eigenvectors s = 0, 1 of block n as (-Omega_n, Omega_n),
     # which rabi_blocks gives to half an ulp, keeping long runs in phase
-    amp = ((ATOM_STATE @ vectors.conj())
-           * np.sqrt(displaced_photon_weights(p))[:, None])
-    omega_n = rabi_blocks(p, np.arange(p.dcut))[1]
+    amp = (ATOM_STATE @ vectors.conj()) * np.sqrt(p_n)[:, None]
+    omega_n = rabi_blocks(p, np.arange(len(p_n)))[1]
     # atom_op (x) I joins only the two eigenvectors of one block
     blocks = (None if atom_op is None else
               np.swapaxes(vectors.conj(), 1, 2) @ atom_op @ vectors)
     constant, weights, omega, _ = block_pair_weights(
         amp, np.stack([-omega_n, omega_n], axis=1), blocks)
     values = folded_series(constant, weights, omega, np.atleast_1d(t),
-                           milburn_factor, p.gamma, squared=atom_op is None)
+                           factor, p.gamma, squared=atom_op is None)
     return float(values[0]) if t.ndim == 0 else values
 
 

@@ -193,6 +193,77 @@ class TestRunCommand:
         assert len(columns) == 3
         assert all(np.isfinite(column).all() for column in columns)
 
+    @pytest.mark.parametrize("method, evolve, tol", [
+        ("poisson", lambda rho0, h, t, gamma:
+            dynamics.milburn_poisson_evolve(rho0, h, t, gamma), 1e-12),
+        ("schrodinger", lambda rho0, h, t, gamma:
+            dynamics.schrodinger_evolve(rho0, h, t), 1e-12),
+        ("lindblad", lambda rho0, h, t, gamma:
+            dynamics.lindblad_first_order_evolve(rho0, h, t, gamma, 1e-3),
+            1e-9),
+    ])
+    @pytest.mark.parametrize("drive", [
+        pytest.param([], id="real-drive"),
+        pytest.param(["--epsilon-im", "0.3"], id="complex-drive")])
+    def test_block_routes_match_state_level_references(self, method, evolve,
+                                                       tol, drive):
+        # the kick sum, the first-order and the unitary route take the 2x2
+        # blocks; each state-level reference evolves the dense density
+        # matrix under the displaced Hamiltonian (Poisson kicks, RK4 at
+        # dt = 1e-3, Pade expm)
+        cfg = build_run_config(build_parser().parse_args(run_args(
+            "--method", method, "--epsilon", "0.5", *drive, "--gamma", "50",
+            "--alpha", "1", "--cutoff", "16", "--tmax", "1.5", "--steps", "4",
+            "--observables", "sigma_x,sigma_z,purity")))
+        times, columns = cli.compute_series(cfg)
+        h = hamiltonians.effective_hamiltonian_displaced(cfg)
+        rho0 = observables.initial_density(cfg)
+        for t, row in zip(times, np.transpose(columns)):
+            rho = evolve(rho0, h, t, cfg.gamma)
+            expected = [observables.state_expectation(
+                rho, cli.ATOM_OPERATORS[name]) for name in cfg.observables]
+            np.testing.assert_allclose(row, expected, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("method, dense", [
+        ("closed-form", False), ("poisson", False), ("lindblad", False),
+        ("schrodinger", False), ("spectral", True), ("full-oracle", True)])
+    def test_only_dense_routes_diagonalise_the_joint_space(
+            self, monkeypatch, method, dense):
+        # the block routes build no SpectralPropagator, no displacement and
+        # no eigh of a (2 cutoff)^2 matrix; the dense routes still do
+        built = []
+        propagator, eigh, displacement = (
+            cli.SpectralPropagator, np.linalg.eigh, fock.displacement)
+
+        def propagator_spy(*args, **kwargs):
+            built.append("SpectralPropagator")
+            return propagator(*args, **kwargs)
+
+        def eigh_spy(a, *args, **kwargs):
+            if np.shape(a) == (32, 32):
+                built.append("eigh")
+            return eigh(a, *args, **kwargs)
+
+        def displacement_spy(*args):
+            built.append("displacement")
+            return displacement(*args)
+
+        monkeypatch.setattr(cli, "SpectralPropagator", propagator_spy)
+        monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
+        for module in (fock, hamiltonians):
+            monkeypatch.setattr(module, "displacement", displacement_spy)
+        cfg = build_run_config(build_parser().parse_args(run_args(
+            "--method", method, "--epsilon", "0.5", "--gamma", "1000",
+            "--alpha", "1", "--cutoff", "16", "--tmax", "2", "--steps", "20",
+            "--observables", "sigma_x,sigma_z,purity")))
+        _, columns = cli.compute_series(cfg)
+        assert all(np.isfinite(column).all() for column in columns)
+        if dense:
+            assert built.count("SpectralPropagator") == 1
+            assert built.count("eigh") == 1
+        else:
+            assert built == []
+
     def test_invalid_method_writes_nothing(self, tmp_path):
         out = tmp_path / "x.csv"
         code = main(run_args("--method", "nonsense", "--out", str(out)))
@@ -588,6 +659,45 @@ class TestTruncationRule:
         for method in ("spectral", "poisson"):
             gap = np.max(np.abs(values[method] - values["closed-form"]))
             assert gap <= 1e-11, method
+
+
+    @pytest.mark.parametrize("method, code", [
+        ("closed-form", EXIT_OK), ("poisson", EXIT_OK), ("lindblad", EXIT_OK),
+        ("schrodinger", EXIT_OK), ("spectral", EXIT_GUARD),
+        ("full-oracle", EXIT_GUARD)])
+    def test_lab_frame_state_refused_by_dense_routes_only(
+            self, tmp_path, capsys, method, code):
+        # |alpha - beta> (mean 6.25) fits cutoff 36, |alpha> (mean 9) does
+        # not: the block routes never represent |alpha>, the dense ones do
+        out = tmp_path / "x.csv"
+        assert main(run_args("--method", method, "--alpha", "3",
+                             "--cutoff", "36", *self.COMMON,
+                             "--out", str(out))) == code
+        if code == EXIT_OK:
+            return
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "numerical guard: a coherent state of mean photon number 9 "
+            "leaves tail mass 9.848e-12 beyond cutoff 36; increase the cutoff")
+
+    def test_block_route_cost_follows_the_state(self, tmp_path,
+                                                monkeypatch):
+        # at cutoff 1e8 only the photon numbers whose weight is nonzero in
+        # float64 are built: about 240 at |alpha - beta|^2 = 4
+        counts = []
+        rabi_blocks = hamiltonians.rabi_blocks
+
+        def rabi_blocks_spy(p, n):
+            counts.append(np.size(n))
+            return rabi_blocks(p, n)
+
+        for module in (hamiltonians, observables):
+            monkeypatch.setattr(module, "rabi_blocks", rabi_blocks_spy)
+        out = tmp_path / "x.csv"
+        assert main(run_args("--method", "poisson", "--gamma", "1000",
+                             "--cutoff", "100000000",
+                             "--out", str(out))) == EXIT_OK
+        assert counts and max(counts) <= 300
 
 
 @pytest.fixture(scope="module")

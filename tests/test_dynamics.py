@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -210,6 +211,26 @@ class TestMilburnPoisson:
         assert lost.max() <= 1e-10
         assert 8e-11 <= lost.max()  # the peak near mean 2.67, window [0, 18]
         assert np.all(lost[means >= 50.0] <= 1e-12)
+
+    def test_window_admits_means_monotonically(self):
+        # near the budget, in steps of 0.25: once a mean is refused, every
+        # larger one is, and an admitted window holds at most
+        # POISSON_MAX_TERMS counts, none of them past the largest count
+        # that test_log_factorial_matches_gammaln checks
+        half = (dynamics.POISSON_MAX_TERMS - 1) / 2
+        top = math.ceil((half / 8) ** 2 - 1 + half)
+        admitted = []
+        for mean in np.arange(3.9059e7, 3.9062e7, 0.25):
+            try:
+                m_lo, m_hi = dynamics.poisson_window(mean)
+            except WindowBudgetError:
+                admitted.append(False)
+                continue
+            assert m_hi - m_lo + 1 <= dynamics.POISSON_MAX_TERMS
+            assert m_hi <= top
+            admitted.append(True)
+        refused = admitted.index(False)
+        assert refused > 0 and not any(admitted[refused:])
 
     def test_window_refused_before_rounding(self):
         # at this mean the 8 sigma half width is lost in mean +- half, so
@@ -744,7 +765,8 @@ class TestFoldedSeries:
                                gamma, squared=squared)
         assert np.all(np.isfinite(series))
         g, ln_factorial = (np.concatenate(seen[k]) for k in ("g", "ln m!"))
-        if squared:  # the lags 0 .. the widest window's
+        if squared:  # the lags 0 .. the widest window's, in one call
+            assert len(seen["g"]) == 1
             np.testing.assert_array_equal(
                 g, np.arange(np.max(np.diff(windows)) + 1))
         else:
