@@ -174,11 +174,13 @@ def compute_series(cfg: RunConfig):
     """
     # numpy refuses an array of more than intp max bytes with a ValueError;
     # the dense routes build (2 cutoff)^2 matrices, H and its eigenvectors,
-    # complex at a complex drive
+    # complex at a complex drive; the block routes' arrays end at the
+    # state's last nonzero photon weight, whatever the cutoff
     hamiltonian, factor = METHODS[cfg.method]
-    cutoff_bytes = 16 * (2 * cfg.dcut) ** 2 if hamiltonian else 8 * cfg.dcut
-    for flag, count, size in (("steps", cfg.steps, 8 * cfg.steps),
-                              ("cutoff", cfg.dcut, cutoff_bytes)):
+    sizes = [("steps", cfg.steps, 8 * cfg.steps)]
+    if hamiltonian:
+        sizes.append(("cutoff", cfg.dcut, 16 * (2 * cfg.dcut) ** 2))
+    for flag, count, size in sizes:
         if size > np.iinfo(np.intp).max:
             raise MemoryError(f"--{flag} {count} needs an array of {size} "
                               "bytes, more than numpy can size")

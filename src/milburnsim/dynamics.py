@@ -20,8 +20,9 @@ Routes:
     amplitudes and the atom operator's image.  The closed form and the
     kick-sum, first-order and unitary routes take one 2x2 block per
     photon number (observables.closed_form_series); SpectralPropagator
-    passes one block from a dense eigh, in float64 for a real h, for the
-    spectral and full-oracle routes;
+    passes one dense block, in float64 for a real h: the spectral route's
+    from a dense eigh, the full-oracle route's from one SVD of the
+    interaction Hamiltonian's field coupling (interaction_eigh);
   * state-level routes kept as independent references for that kernel:
     exact intrinsic-decoherence evolution as a Poisson-weighted sum of
     repeated unitary kicks (milburn_poisson_evolve) or in spectral
@@ -30,6 +31,7 @@ Routes:
     unitary (Schrodinger) evolution.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -332,6 +334,13 @@ def prune_weights(weights):
     return np.flatnonzero(~drop), dropped
 
 
+@functools.lru_cache(maxsize=4)  # read-only, the last four sizes
+def _pair_table(size):  # j < k in the order of np.nonzero(np.less.outer)
+    table = np.array(np.triu_indices(size, 1))
+    table.flags.writeable = False
+    return table
+
+
 def block_pair_weights(amp, energies, op_blocks):
     """The series of Tr(rho(t) op) of a pure state, folded onto the
     eigenpairs j < k that may be nonzero, in an eigenbasis taken as
@@ -351,12 +360,12 @@ def block_pair_weights(amp, energies, op_blocks):
     prob = np.abs(amp) ** 2
     if op_blocks is None:
         energies, prob = energies.T.ravel(), prob.T.ravel()
-        live = np.flatnonzero(prob)  # ascending, as np.less.outer needs
-        j, k = live[np.array(np.nonzero(np.less.outer(live, live)))]
+        live = np.flatnonzero(prob)  # ascending, so j < k as in the table
+        j, k = live[_pair_table(len(live))]
         diagonal, pairs = prob @ prob, prob[j] * prob[k]
         omega = energies[j] - energies[k]
     else:
-        j, k = np.nonzero(np.less.outer(*[np.arange(amp.shape[1])] * 2))
+        j, k = _pair_table(amp.shape[1])
         diagonal = (prob * np.diagonal(op_blocks, 0, 1, 2)).sum().real
         pairs = (amp[:, j] * amp[:, k].conj() * op_blocks[:, k, j]).ravel()
         omega = (energies[:, j] - energies[:, k]).ravel()
@@ -395,13 +404,32 @@ def folded_series(constant, weights, omega, times, factor, gamma,
     return factor.series(weights, omega, times, gamma, squared) + constant
 
 
+def interaction_eigh(h):
+    """eigh of an h = [[a I, C], [C^dag, -a I]] by the SVD C = U S W^dag:
+    -+hypot(a, s_k) on (-sin u_k, cos w_k) and (cos u_k, sin w_k) at angle
+    atan2(s_k, a)/2, in ascending order; None for an h not of this form."""
+    n, a = len(h) // 2, h[0, 0].real
+    if not (np.array_equal(h[:n, :n], a * np.eye(n))
+            and np.array_equal(h[n:, n:], -h[:n, :n])):
+        return None
+    u, s, w_dag = np.linalg.svd(h[:n, n:])  # s descends, so -r ascends
+    half, w = np.arctan2(s, a) / 2, w_dag.conj().T
+    cos, sin, r = np.cos(half), np.sin(half), np.hypot(a, s)
+    return np.concatenate([-r, r[::-1]]), np.block(
+        [[-sin * u, (cos * u)[:, ::-1]], [cos * w, (sin * w)[:, ::-1]]])
+
+
 @dataclass
 class SpectralPropagator:
     """Eigendecomposition of h and the series kernel of the dense routes
-    (spectral, full-oracle).  A real h (no imaginary part, whatever its
-    dtype) is diagonalised in float64 and its eigenvectors are real; a
-    real state or operator then reaches the eigenbasis in float64 too.
-    Read-only after construction; safe to share across workers."""
+    (spectral, full-oracle).  An h of the interaction form (atom blocks
+    a I and -a I on the diagonal, as the full-oracle route's) is
+    diagonalised by interaction_eigh, one SVD of its off-diagonal block,
+    any other h (the spectral route's) by a dense eigh.  A real h (no
+    imaginary part, whatever its dtype) is diagonalised in float64 and its
+    eigenvectors are real; a real state or operator then reaches the
+    eigenbasis in float64 too.  Read-only after construction; safe to
+    share across workers."""
 
     h: np.ndarray
     gamma: float
@@ -411,7 +439,7 @@ class SpectralPropagator:
     def __post_init__(self):
         h = real_if_real(self.h)
         _check_hermitian(h)
-        self.energies, self.vectors = np.linalg.eigh(h)
+        self.energies, self.vectors = interaction_eigh(h) or np.linalg.eigh(h)
 
     def evolve(self, rho0, t):
         """rho(t) under Milburn's equation: rho0's eigenbasis entries times

@@ -83,7 +83,9 @@ def photon_weights(mean, dcut, state="a coherent state"):
     last one that is nonzero in float64, at most dcut-1: the weights past
     it are exact zeros, so a cutoff far above the state costs nothing.
     The one truncation rule: CutoffTooSmallError naming ``state`` when the
-    mass beyond dcut-1 exceeds COHERENT_TAIL_TOL, ValueError if not finite."""
+    mass beyond dcut-1 exceeds COHERENT_TAIL_TOL, ValueError if not finite.
+    Past the mean that mass is the sum of the weights beyond dcut-1 up to
+    the first that underflows (n = 239 at mean 4, 1 038 646 at mean 1e6)."""
     _check_cutoff(dcut)
     if not np.isfinite(mean):
         raise ValueError(f"mean photon number must be finite, got {mean}")
@@ -93,7 +95,22 @@ def photon_weights(mean, dcut, state="a coherent state"):
     while count < dcut and (weights[-1] > 0 or count <= mean):
         count = min(dcut, 2 * count)
         weights = poisson_pmf(np.arange(count), mean)
-    tail = 1.0 - weights.sum()
+    # the mass at n >= count: below the mean it is large, and 1 - sum holds
+    # it well.  Above, each weight is at most q = mean/count times the one
+    # before, so the mass is at most weights[-1] q/(1 - q); past the
+    # tolerance the weights past count are summed up to the first 0, so
+    # that the tail does not carry the rounding of the bulk's sum
+    if count <= mean:
+        tail = 1.0 - weights.sum()
+    else:
+        q = mean / count
+        tail = weights[-1] * q / (1.0 - q)
+        if tail > COHERENT_TAIL_TOL:
+            tail, start, size, last = 0.0, count, 64, weights[-1]
+            while last > 0:
+                terms = poisson_pmf(np.arange(start, start + size), mean)
+                tail, last = tail + terms.sum(), terms[-1]
+                start, size = start + size, 2 * size
     if tail > COHERENT_TAIL_TOL:
         raise CutoffTooSmallError(
             f"{state} of mean photon number {mean:.6g} leaves tail "

@@ -224,16 +224,41 @@ class TestRunCommand:
                 rho, cli.ATOM_OPERATORS[name]) for name in cfg.observables]
             np.testing.assert_allclose(row, expected, rtol=0, atol=tol)
 
+    @pytest.mark.parametrize("delta", [20.0, -15.0])
+    @pytest.mark.parametrize("drive", [
+        pytest.param([], id="real-drive"),
+        pytest.param(["--epsilon-im", "0.3"], id="complex-drive")])
+    def test_full_oracle_matches_unitary_state_evolution(self, delta, drive):
+        # at gamma = 1e11 Milburn's factor is within ~1e-8 of the unitary
+        # one over these eigenfrequencies; the reference is the Pade expm
+        # of the interaction Hamiltonian, with no eigenbasis at all
+        cfg = build_run_config(build_parser().parse_args(run_args(
+            "--method", "full-oracle", "--epsilon", "0.5", *drive,
+            "--delta", repr(delta), "--gamma", "1e11", "--alpha", "1",
+            "--cutoff", "16", "--tmax", "2", "--steps", "5",
+            "--observables", "sigma_x,sigma_z,purity")))
+        times, columns = cli.compute_series(cfg)
+        h = hamiltonians.interaction_hamiltonian(cfg)
+        rho0 = observables.initial_density(cfg)
+        for t, row in zip(times, np.transpose(columns)):
+            rho = dynamics.schrodinger_evolve(rho0, h, t)
+            expected = [observables.state_expectation(
+                rho, cli.ATOM_OPERATORS[name]) for name in cfg.observables]
+            np.testing.assert_allclose(row, expected, rtol=0, atol=1e-7)
+
     @pytest.mark.parametrize("method, dense", [
         ("closed-form", False), ("poisson", False), ("lindblad", False),
         ("schrodinger", False), ("spectral", True), ("full-oracle", True)])
     def test_only_dense_routes_diagonalise_the_joint_space(
             self, monkeypatch, method, dense):
-        # the block routes build no SpectralPropagator, no displacement and
-        # no eigh of a (2 cutoff)^2 matrix; the dense routes still do
+        # the block routes build no SpectralPropagator, no displacement, no
+        # eigh of a (2 cutoff)^2 matrix and no SVD of a cutoff^2 one; the
+        # spectral route runs one such eigh, the full-oracle route one SVD
+        # of its field coupling and no eigh
         built = []
-        propagator, eigh, displacement = (
-            cli.SpectralPropagator, np.linalg.eigh, fock.displacement)
+        propagator, eigh, svd, displacement = (
+            cli.SpectralPropagator, np.linalg.eigh, np.linalg.svd,
+            fock.displacement)
 
         def propagator_spy(*args, **kwargs):
             built.append("SpectralPropagator")
@@ -244,12 +269,18 @@ class TestRunCommand:
                 built.append("eigh")
             return eigh(a, *args, **kwargs)
 
+        def svd_spy(a, *args, **kwargs):
+            if np.shape(a) == (16, 16):
+                built.append("svd")
+            return svd(a, *args, **kwargs)
+
         def displacement_spy(*args):
             built.append("displacement")
             return displacement(*args)
 
         monkeypatch.setattr(cli, "SpectralPropagator", propagator_spy)
         monkeypatch.setattr(np.linalg, "eigh", eigh_spy)
+        monkeypatch.setattr(np.linalg, "svd", svd_spy)
         for module in (fock, hamiltonians):
             monkeypatch.setattr(module, "displacement", displacement_spy)
         cfg = build_run_config(build_parser().parse_args(run_args(
@@ -260,7 +291,8 @@ class TestRunCommand:
         assert all(np.isfinite(column).all() for column in columns)
         if dense:
             assert built.count("SpectralPropagator") == 1
-            assert built.count("eigh") == 1
+            assert (built.count("eigh"), built.count("svd")) == (
+                (1, 0) if method == "spectral" else (0, 1))
         else:
             assert built == []
 
@@ -310,7 +342,8 @@ class TestRunCommand:
         # any allocation, not a ValueError from numpy
         pytest.param(["--steps", "10000000000000000000"], None,
                      id="steps-past-array-size"),
-        pytest.param(["--cutoff", "10000000000000000000"], None,
+        pytest.param(["--method", "spectral",
+                      "--cutoff", "10000000000000000000"], None,
                      id="cutoff-past-array-size"),
         # a series that comes out non-finite is refused before writing
         pytest.param(["--steps", "3"], _nan_column, id="non-finite-series"),
@@ -350,12 +383,29 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("flag", ["--steps", "--cutoff"])
     def test_array_size_guard_names_the_flag(self, tmp_path, capsys, flag):
-        # the first count numpy cannot size as float64 values, 2^60
+        # the first count numpy cannot size as float64 values, 2^60; only
+        # the dense routes build cutoff-sized arrays
         out = tmp_path / "x.csv"
-        code = main(run_args(flag, str(2**60), "--out", str(out)))
+        method = "spectral" if flag == "--cutoff" else "closed-form"
+        code = main(run_args("--method", method, flag, str(2**60),
+                             "--out", str(out)))
         assert code == EXIT_GUARD
         assert capsys.readouterr().err.startswith(
             f"numerical guard: {flag} {2**60} ")
+
+    def test_block_routes_take_a_cutoff_past_array_size(self, tmp_path):
+        # the closed form's arrays end at the state's last nonzero photon
+        # weight, so a cutoff of 2^62 gives the series of cutoff 64
+        columns = []
+        for cutoff in (2**62, 64):
+            out = tmp_path / f"cutoff{cutoff}.csv"
+            assert main(run_args("--method", "closed-form", "--cutoff",
+                                 str(cutoff), "--steps", "2", "--observables",
+                                 "sigma_x,sigma_z,purity",
+                                 "--out", str(out))) == EXIT_OK
+            _, rows = read_csv(out)
+            columns.append(np.array(rows, dtype=float))
+        np.testing.assert_allclose(columns[0], columns[1], rtol=0, atol=1e-12)
 
     def test_dense_cutoff_guard_builds_nothing(self, tmp_path, capsys,
                                                monkeypatch):
@@ -678,7 +728,7 @@ class TestTruncationRule:
         assert list(tmp_path.iterdir()) == []
         assert capsys.readouterr().err.splitlines()[-1] == (
             "numerical guard: a coherent state of mean photon number 9 "
-            "leaves tail mass 9.848e-12 beyond cutoff 36; increase the cutoff")
+            "leaves tail mass 9.850e-12 beyond cutoff 36; increase the cutoff")
 
     def test_block_route_cost_follows_the_state(self, tmp_path,
                                                 monkeypatch):

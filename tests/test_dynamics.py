@@ -17,6 +17,7 @@ from milburnsim.dynamics import (
     effective_propagator,
     first_order_factor,
     folded_series,
+    interaction_eigh,
     kick_count_factor,
     lindblad_first_order_evolve,
     milburn_factor,
@@ -36,7 +37,7 @@ from milburnsim.fock import (
 )
 from milburnsim.hamiltonians import (
     displaced_photon_weights, effective_core_blocks,
-    effective_hamiltonian_displaced)
+    effective_hamiltonian_displaced, interaction_hamiltonian)
 from milburnsim.observables import (
     ATOM_STATE, closed_form_series, initial_density, initial_state,
     state_expectation)
@@ -312,6 +313,64 @@ class TestMilburnSpectral:
         for t in (0.5, 1.0, 3.0):
             assert abs(state_expectation(prop.evolve(rho0, t), SIGMA_Z)
                        - base) <= 1e-10
+
+
+def random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.standard_normal((dim, dim))
+                        + 1j * rng.standard_normal((dim, dim)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+@st.composite
+def interaction_form_cases(draw):
+    """h = [[a I, C], [C^dag, -a I]] with a complex C = U S W^dag of size
+    1 to 8, a of either sign or 0, and S generic, with an exact zero (a
+    zero column of C) or with all its values repeated."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = draw(st.sampled_from([-1.0, 1.0])) * draw(
+        st.sampled_from([0.0, 1e-3, 0.5, 3.0, 20.0]))
+    spectrum = draw(st.sampled_from(["generic", "zero", "repeated"]))
+    s = (np.full(n, rng.uniform(0.1, 5.0)) if spectrum == "repeated"
+         else rng.uniform(0.1, 5.0, n))
+    c = (random_unitary(rng, n) * s) @ random_unitary(rng, n).conj().T
+    if spectrum == "zero":
+        c[:, rng.integers(n)] = 0.0
+    ident = np.eye(n)
+    return np.block([[a * ident, c], [c.conj().T, -a * ident]])
+
+
+class TestInteractionEigenbasis:
+    @given(interaction_form_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_eigh(self, h):
+        prop = SpectralPropagator(h, 1.0)
+        energies, vectors = prop.energies, prop.vectors
+        assert interaction_eigh(h) is not None
+        assert np.all(np.diff(energies) >= 0)
+        np.testing.assert_allclose(energies, np.linalg.eigh(h)[0],
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(h @ vectors, vectors * energies,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(vectors.conj().T @ vectors,
+                                   np.eye(len(h)), rtol=0, atol=1e-13)
+
+    def test_real_drive_gives_real_vectors(self):
+        p = SystemParams(lam=1.0, epsilon=0.5, delta=20.0, gamma=1e3,
+                         alpha=1.0, dcut=16)
+        prop = SpectralPropagator(interaction_hamiltonian(p), p.gamma)
+        assert prop.vectors.dtype == np.float64
+
+    def test_other_forms_take_the_dense_eigh(self, small_system):
+        # the spectral route's displaced h, an interaction form whose
+        # diagonal is off by one ulp, and an odd dimension
+        _, h, _ = small_system
+        p = SystemParams(lam=1.0, epsilon=0.5, delta=2.0, gamma=1e3,
+                         alpha=1.0, dcut=4)
+        skewed = interaction_hamiltonian(p)
+        skewed[5, 5] = np.nextafter(skewed[5, 5], 0.0)
+        for other in (h, skewed, np.diag([1.0, 0.0, -1.0])):
+            assert interaction_eigh(other) is None
 
 
 class TestRealArithmetic:

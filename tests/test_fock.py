@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from milburnsim.fock import (
     log_factorial,
     matrix_exponential,
     number,
+    photon_weights,
     poisson_pmf,
 )
 from milburnsim.dynamics import (
@@ -144,6 +146,33 @@ class TestCoherentState:
     def test_rejects_non_finite_amplitude(self, alpha):
         with pytest.raises(ValueError, match="must be finite"):
             coherent_state(alpha, 4)
+
+    @pytest.mark.parametrize("mean, dcut", [(1e6, 2_000_000),
+                                            (3e4, 100_000)])
+    def test_tail_is_the_mass_past_the_cutoff(self, mean, dcut):
+        # 1 - sum p_n reads 5.5e-10 and 1.4e-11 here, the rounding of the
+        # bulk's weights; the mass past these cutoffs underflows to 0
+        weights = photon_weights(mean, dcut)
+        assert len(weights) < dcut and weights[-1] > 0
+        assert abs(weights.sum() - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("mean, dcut", [(9.0, 36), (9.0, 37),
+                                            (1e6, 1_005_000)])
+    def test_refused_tail_is_the_mass_past_the_cutoff(self, mean, dcut):
+        # scipy.stats.poisson.sf: 9.850e-12, 2.376e-12 and 2.934e-7, where
+        # 1 - sum p_n read 9.848e-12, 2.374e-12 and 2.940e-7
+        from scipy.stats import poisson
+
+        with pytest.raises(CutoffTooSmallError, match="^" + re.escape(
+                f"a coherent state of mean photon number {mean:.6g} leaves "
+                f"tail mass {poisson.sf(dcut - 1, mean):.3e} beyond cutoff "
+                f"{dcut}; increase the cutoff") + "$"):
+            photon_weights(mean, dcut)
+
+    def test_tail_under_its_bound_is_summed(self):
+        # at mean 8.2842 the mass at n >= 36 is 9.95e-13, under the
+        # tolerance, while the bound weights[-1] q/(1 - q) reads 1.005e-12
+        assert len(photon_weights(8.2842, 36)) == 36
 
     @given(st.floats(min_value=0.1, max_value=2.5),
            st.floats(min_value=-np.pi, max_value=np.pi))
