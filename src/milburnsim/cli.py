@@ -24,6 +24,7 @@ from .dynamics import (
     SpectralPropagator,
     WindowBudgetError,
     block_propagators,
+    eigenbasis_series,
     first_order_factor,
     kick_count_factor,
     milburn_factor,
@@ -42,8 +43,8 @@ from .hamiltonians import (
     effective_hamiltonian_displaced, interaction_hamiltonian,
     small_rotation_exact, small_rotation_first_order)
 from .observables import (
-    closed_form_series, initial_density, initial_state, revival_metrics,
-    sigma_x_closed_form, state_expectation)
+    block_eigenbasis, closed_form_series, initial_density, initial_state,
+    revival_metrics, sigma_x_closed_form, state_expectation)
 from .params import SystemParams, derived_params
 
 # Each method's eigenbasis (None: the 2x2 photon-number blocks, else the
@@ -185,16 +186,13 @@ def compute_series(cfg: RunConfig):
             raise MemoryError(f"--{flag} {count} needs an array of {size} "
                               "bytes, more than numpy can size")
     times = np.linspace(0.0, cfg.tmax, cfg.steps)
+    if cfg.method == "closed-form" and cfg.observables == ("sigma_x",):
+        return times, [sigma_x_closed_form(cfg, times)]  # fig1's binding
+    basis = (block_eigenbasis(cfg) if hamiltonian is None else
+             SpectralPropagator(hamiltonian(cfg), cfg.gamma).eigenbasis(
+                 initial_state(cfg)))
     ops = [ATOM_OPERATORS[name] for name in cfg.observables]
-    if hamiltonian is None:  # sigma_x by fig1's name: one binding for both
-        return times, [
-            sigma_x_closed_form(cfg, times)
-            if op is SIGMA_X and factor is milburn_factor
-            else closed_form_series(cfg, op, times, factor) for op in ops]
-
-    prop = SpectralPropagator(h=hamiltonian(cfg), gamma=cfg.gamma)
-    return times, prop.expectation_series(initial_state(cfg), ops, times,
-                                          factor)
+    return times, eigenbasis_series(*basis, ops, times, factor, cfg.gamma)
 
 
 def _write_atomic(path, chunks):

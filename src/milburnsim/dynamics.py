@@ -7,22 +7,19 @@ Routes:
   * the series kernel: every density-matrix route is diagonal in the
     eigenbasis of H, so an observable's time series is one scalar factor
     per eigenfrequency (Milburn's, the windowed Poisson kick sum, the
-    first-order master equation's, or the unitary phase) on weights that
-    block_pair_weights folds onto half the eigenpairs, summed by
-    folded_series in real arithmetic.  An exponential factor on an
-    equispaced grid is a product of anchors and offsets, one
+    first-order master equation's, or the unitary phase) on weights.  A
+    run builds the pure state's eigenbasis once, by one of two builders
+    (observables.block_eigenbasis, a 2x2 block per photon number, or
+    SpectralPropagator.eigenbasis, one dense block from eigh or, for the
+    full-oracle route, interaction_eigh), and eigenbasis_series turns it
+    into every column: block_pair_weights folds the weights onto half the
+    eigenpairs, folded_series sums them in real arithmetic.  An exponential
+    factor on an equispaced grid is a product of anchors and offsets, one
     vector-matrix product per anchor (ExponentialFactor.series); the kick
     sum (KickCountFactor) is a series over the kick count, in time order,
     whose per-count sums (the unitary factor's series at the counts) and
     ln m! are each carried through the blocks as one run of counts, and
-    whose purity takes that series at all its lags in one call.
-    The initial state is pure, so the weights come from its eigenbasis
-    amplitudes and the atom operator's image.  The closed form and the
-    kick-sum, first-order and unitary routes take one 2x2 block per
-    photon number (observables.closed_form_series); SpectralPropagator
-    passes one dense block, in float64 for a real h: the spectral route's
-    from a dense eigh, the full-oracle route's from one SVD of the
-    interaction Hamiltonian's field coupling (interaction_eigh);
+    whose purity takes that series at all its lags in one call;
   * state-level routes kept as independent references for that kernel:
     exact intrinsic-decoherence evolution as a Poisson-weighted sum of
     repeated unitary kicks (milburn_poisson_evolve) or in spectral
@@ -141,6 +138,7 @@ def milburn_poisson_evolve(rho0, h, t, gamma):
 SERIES_BLOCK = 2**15
 DROP_BUDGET = 1e-14   # summed |weight| the series kernel may drop
 PHASE_TOL = 1e-6      # phase the eigenfrequencies' rounding may cost
+PAIR_BUDGET = 2**25   # purity pairs, about 80 B each, a table may hold
 
 
 @dataclass(frozen=True)
@@ -361,6 +359,12 @@ def block_pair_weights(amp, energies, op_blocks):
     if op_blocks is None:
         energies, prob = energies.T.ravel(), prob.T.ravel()
         live = np.flatnonzero(prob)  # ascending, so j < k as in the table
+        count = len(live) * (len(live) - 1) // 2
+        if count > PAIR_BUDGET:  # refused before the table is built
+            raise MemoryError(
+                f"the purity of {len(live)} populated eigenvectors needs "
+                f"{count} pairs, more than {PAIR_BUDGET}; lower --alpha "
+                "or leave purity out of --observables")
         j, k = live[_pair_table(len(live))]
         diagonal, pairs = prob @ prob, prob[j] * prob[k]
         omega = energies[j] - energies[k]
@@ -404,6 +408,20 @@ def folded_series(constant, weights, omega, times, factor, gamma,
     return factor.series(weights, omega, times, gamma, squared) + constant
 
 
+def eigenbasis_series(amp, energies, image, atom_ops, times, factor, gamma):
+    """Tr(rho(t) op (x) I) of a pure state for each atom operator of
+    atom_ops (None: the purity) under the route's factor: folded_series
+    over block_pair_weights of its eigenbasis, amp and energies
+    (blocks, m) and image(op) (blocks, m, m).  One array per operator."""
+    series = []
+    for op in atom_ops:
+        constant, weights, omega, _ = block_pair_weights(
+            amp, energies, None if op is None else image(op))
+        series.append(folded_series(constant, weights, omega, times, factor,
+                                    gamma, squared=op is None))
+    return series
+
+
 def interaction_eigh(h):
     """eigh of an h = [[a I, C], [C^dag, -a I]] by the SVD C = U S W^dag:
     -+hypot(a, s_k) on (-sin u_k, cos w_k) and (cos u_k, sin w_k) at angle
@@ -421,7 +439,7 @@ def interaction_eigh(h):
 
 @dataclass
 class SpectralPropagator:
-    """Eigendecomposition of h and the series kernel of the dense routes
+    """Eigendecomposition of h and the eigenbasis of the dense routes
     (spectral, full-oracle).  An h of the interaction form (atom blocks
     a I and -a I on the diagonal, as the full-oracle route's) is
     diagonalised by interaction_eigh, one SVD of its off-diagonal block,
@@ -449,29 +467,15 @@ class SpectralPropagator:
                  * milburn_factor(omega, t, self.gamma))
         return self.vectors @ rho_e @ self.vectors.conj().T
 
-    def folded_weights(self, psi, atom_ops):
-        """block_pair_weights of the pure state psi over every eigenpair
-        of h, taken as one block, one tuple per atom operator of atom_ops
-        (None: purity): the amplitudes V^dag psi and each image
-        V^dag (op (x) I) V, with op acting on V's two atom halves."""
-        v_dag = self.vectors.conj().T
-        amp = v_dag @ real_if_real(psi)
-        return [block_pair_weights(
-            amp[None], self.energies[None], None if op is None else
-            (v_dag @ (real_if_real(op) @ self.vectors.reshape(2, -1))
-             .reshape(self.vectors.shape))[None]) for op in atom_ops]
-
-    def expectation_series(self, psi, atom_ops, times,
-                           factor=milburn_factor):
-        """Tr(rho(t) op (x) I) of the pure state psi on a time grid for
-        each atom operator of atom_ops, ``None`` for the purity, with no
-        density matrix or joint operator built: folded_series over
-        folded_weights with the route's ``factor(omega, t, gamma)``.
-        Returns one float array per operator."""
-        return [folded_series(constant, weights, omega, times, factor,
-                              self.gamma, squared=op is None)
-                for op, (constant, weights, omega, _)
-                in zip(atom_ops, self.folded_weights(psi, atom_ops))]
+    def eigenbasis(self, psi):
+        """The pure state psi in the eigenbasis of h, taken as one block,
+        for eigenbasis_series: (amp, energies, image) with the amplitudes
+        V^dag psi, the eigenvalues and image(op) = V^dag (op (x) I) V of a
+        2x2 atom operator, which acts on V's two atom halves."""
+        v_dag, v = self.vectors.conj().T, self.vectors
+        return ((v_dag @ real_if_real(psi))[None], self.energies[None],
+                lambda op: (v_dag @ (real_if_real(op) @ v.reshape(2, -1))
+                            .reshape(v.shape))[None])
 
 
 class StepSizeError(RuntimeError):

@@ -426,6 +426,54 @@ class TestRunCommand:
                  if line.startswith("numerical guard: ")]
         assert len(guard) == 1 and f"--cutoff {2**31} " in guard[0]
 
+    def test_purity_pair_guard_builds_nothing(self, tmp_path, capsys,
+                                              monkeypatch):
+        # |alpha - beta|^2 of about 1e4 populates 15 340 eigenvectors, whose
+        # 1.18e8 purity pairs would take about 9 GB: refused before the pair
+        # table is built
+        def unreachable(size):
+            raise AssertionError("a purity pair table was built")
+
+        monkeypatch.setattr(dynamics, "_pair_table", unreachable)
+        out = tmp_path / "x.csv"
+        code = main(run_args("--method", "closed-form", "--alpha", "100.5",
+                             "--cutoff", "40000", "--steps", "2",
+                             "--observables", "purity", "--out", str(out)))
+        assert code == EXIT_GUARD
+        assert list(tmp_path.iterdir()) == []
+        guard = [line for line in capsys.readouterr().err.splitlines()
+                 if line.startswith("numerical guard: ")]
+        assert len(guard) == 1
+        assert all(text in guard[0] for text in (
+            "15340 populated eigenvectors", "117650130 pairs", "--alpha",
+            "--observables"))
+
+    @pytest.mark.parametrize("drive", [
+        pytest.param(["--epsilon", "0.5"], id="real-drive"),
+        pytest.param(["--epsilon", "0.4", "--epsilon-im", "0.3"],
+                     id="complex-drive")])
+    @pytest.mark.parametrize("method", list(cli.METHODS))
+    def test_column_does_not_depend_on_its_run_mates(self, tmp_path, method,
+                                                      drive):
+        # one eigenbasis serves every observable of a run: each column of
+        # a three-observable run holds the bytes of that observable's run
+        # alone (default grid, tmax 12 and 1200 steps, at cutoff 16)
+        def columns(observables):
+            out = tmp_path / f"{observables}.csv"
+            assert main(run_args(
+                "--method", method, *drive, "--gamma", "1000", "--alpha",
+                "1", "--cutoff", "16", "--observables", observables,
+                "--out", str(out))) == EXIT_OK
+            return list(zip(*(line.split(",") for line in
+                              out.read_text().splitlines()
+                              if not line.startswith("#"))))
+
+        names = ["purity", "sigma_z", "sigma_x"]
+        joint = columns(",".join(names))
+        assert len(joint) == 4
+        for name, column in zip(names, joint[1:]):
+            assert columns(name) == [joint[0], column]
+
     @pytest.mark.parametrize("flags, reference", [
         # the default grid: tmax 12, 1200 steps, cutoff 64
         pytest.param(["--epsilon", "0.5", "--gamma", "1000"], "spectral",
@@ -816,7 +864,6 @@ class TestValidateCommand:
             return original(*args, **kwargs) + 1e-6
 
         monkeypatch.setattr(dynamics, "folded_series", shifted)
-        monkeypatch.setattr(observables, "folded_series", shifted)
         assert main(["validate"]) == EXIT_VALIDATION
         out = capsys.readouterr().out
         assert "FAIL closed-form-vs-state-evolution" in out

@@ -15,6 +15,7 @@ from milburnsim.dynamics import (
     block_pair_weights,
     block_propagators,
     effective_propagator,
+    eigenbasis_series,
     first_order_factor,
     folded_series,
     interaction_eigh,
@@ -397,8 +398,10 @@ class TestRealArithmetic:
         assert rotated.vectors.dtype == np.complex128
         times = np.linspace(0.0, 1.5, 7)
         for a, b in zip(
-                real.expectation_series(psi, ops, times, factor),
-                rotated.expectation_series(phase * psi, ops, times, factor)):
+                eigenbasis_series(*real.eigenbasis(psi), ops, times, factor,
+                                  p.gamma),
+                eigenbasis_series(*rotated.eigenbasis(phase * psi), ops,
+                                  times, factor, p.gamma)):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
@@ -446,7 +449,8 @@ class TestSpectralExpectationSeries:
         prop = SpectralPropagator(h=h, gamma=1e3)
         x_op = atom_field(SIGMA_X, identity_field(p.dcut))
         times = np.linspace(0.0, 3.0, 15)
-        fast, = prop.expectation_series(initial_state(p), [SIGMA_X], times)
+        fast, = eigenbasis_series(*prop.eigenbasis(initial_state(p)),
+                                  [SIGMA_X], times, milburn_factor, 1e3)
         slow = [np.trace(prop.evolve(rho0, t) @ x_op).real for t in times]
         np.testing.assert_allclose(fast, slow, atol=1e-11)
 
@@ -502,10 +506,10 @@ class TestSeriesKernel:
         factor, evolve, tol = KERNEL_ROUTES[route]
         times = np.linspace(0.0, 1.5, 7)
         states = evolve(rho0, h, times, p.gamma)
-        prop = SpectralPropagator(h=h, gamma=p.gamma)
+        basis = SpectralPropagator(h=h, gamma=p.gamma).eigenbasis(
+            initial_state(p))
         for op in (SIGMA_X, SIGMA_Z, None):
-            series, = prop.expectation_series(initial_state(p), [op], times,
-                                              factor)
+            series, = eigenbasis_series(*basis, [op], times, factor, p.gamma)
             reference = [state_expectation(rho, op) for rho in states]
             np.testing.assert_allclose(series.real, reference, rtol=0,
                                        atol=tol)
@@ -513,16 +517,16 @@ class TestSeriesKernel:
 
     def test_blocking_does_not_change_the_series(self, system, monkeypatch):
         p, h, _ = system
-        prop = SpectralPropagator(h=h, gamma=p.gamma)
-        psi = initial_state(p)
+        basis = SpectralPropagator(h=h, gamma=p.gamma).eigenbasis(
+            initial_state(p))
         times = np.linspace(0.0, 1.5, 7)
         factors = (milburn_factor, kick_count_factor)
-        whole = [series for f in factors for series in
-                 prop.expectation_series(psi, (SIGMA_X, None), times, f)]
+        whole = [series for f in factors for series in eigenbasis_series(
+            *basis, (SIGMA_X, None), times, f, p.gamma)]
         # blocks of one time row, kick sums in chunks of one kick count
         monkeypatch.setattr(dynamics, "SERIES_BLOCK", 1)
-        blocked = [series for f in factors for series in
-                   prop.expectation_series(psi, (SIGMA_X, None), times, f)]
+        blocked = [series for f in factors for series in eigenbasis_series(
+            *basis, (SIGMA_X, None), times, f, p.gamma)]
         for a, b in zip(whole, blocked):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-14)
 
@@ -530,6 +534,7 @@ class TestSeriesKernel:
         p, h, _ = system
         prop = SpectralPropagator(h=h, gamma=p.gamma)
         psi = initial_state(p)
+        amp_e, energies, image = prop.eigenbasis(psi)
         # the pure state's rho_e = c c^dag, c = V^dag psi, and the joint
         # operator's eigenbasis image, both in float64 as h is real
         amp = prop.vectors.T @ psi.real
@@ -550,11 +555,13 @@ class TestSeriesKernel:
             assert 0.0 < dropped <= DROP_BUDGET == 1e-14
             lost = np.delete(folded, keep)
             assert np.sum(np.abs(lost)) == pytest.approx(dropped, rel=1e-12)
-            assert prop.folded_weights(psi, [op])[0][3] == dropped
+            assert block_pair_weights(amp_e, energies, None if op is None
+                                      else image(op))[3] == dropped
             # |Re(2 w_jk F)| <= 2 |w_jk| for every factor, so the unpruned
             # sum differs from the kernel by at most the dropped weight
             full = [np.sum(weights * factors(t)) for t in times]
-            series, = prop.expectation_series(psi, [op], times)
+            series, = eigenbasis_series(amp_e, energies, image, [op], times,
+                                        milburn_factor, p.gamma)
             assert np.max(np.abs(series - full)) <= dropped + 1e-14
 
 
@@ -594,6 +601,21 @@ class TestBlockPairWeights:
                                 squared=atom_op is None)
                   for constant, weights, omega, _ in (by_blocks, by_dense)]
         np.testing.assert_allclose(*series, rtol=0, atol=1e-14)
+
+
+    def test_purity_pair_budget(self, monkeypatch):
+        # ten populated eigenvectors make 45 purity pairs: admitted at a
+        # budget of 45, refused at 44 before the pair table is built
+        amp = np.zeros((2, 6))
+        amp[:, 1:] = np.sqrt(0.1)
+        energies = np.arange(12.0).reshape(2, 6)
+        monkeypatch.setattr(dynamics, "PAIR_BUDGET", 45)
+        assert len(block_pair_weights(amp, energies, None)[1]) == 45
+        monkeypatch.setattr(dynamics, "PAIR_BUDGET", 44)
+        monkeypatch.setattr(dynamics, "_pair_table", None)
+        with pytest.raises(MemoryError, match="10 populated eigenvectors "
+                           "needs 45 pairs, more than 44"):
+            block_pair_weights(amp, energies, None)
 
 
 def stable_sort_prune(weights):
@@ -704,6 +726,7 @@ def assert_matches_unfolded_sum(h, psi, op, gamma, times, factors):
     against the plain complex sum over all eigenpairs of the density
     matrix and the joint operator op (x) I, within the dropped weight."""
     prop = SpectralPropagator(h=h, gamma=gamma)
+    amp, energies, image = prop.eigenbasis(psi)
     rho_e = prop.vectors.conj().T @ np.outer(psi, psi.conj()) @ prop.vectors
     op_e = (prop.vectors.conj().T @ np.kron(op, np.eye(len(h) // 2))
             @ prop.vectors)
@@ -712,14 +735,14 @@ def assert_matches_unfolded_sum(h, psi, op, gamma, times, factors):
         f = direct(omega, times[:, None], gamma)
         for obs, full in ((op, f @ (rho_e * op_e.T).ravel()),
                           (None, np.abs(f) ** 2 @ np.abs(rho_e).ravel() ** 2)):
-            (constant, weights, freqs, dropped), = prop.folded_weights(
-                psi, [obs])
+            constant, weights, freqs, dropped = block_pair_weights(
+                amp, energies, None if obs is None else image(obs))
             series = folded_series(constant, weights, freqs, times, factor,
                                    gamma, squared=obs is None)
             assert series.dtype == float
             assert np.max(np.abs(series - full)) <= dropped + 1e-14
-            np.testing.assert_array_equal(
-                prop.expectation_series(psi, [obs], times, factor)[0], series)
+            np.testing.assert_array_equal(eigenbasis_series(
+                amp, energies, image, [obs], times, factor, gamma)[0], series)
 
 
 class TestFoldedSeries:

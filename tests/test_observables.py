@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from milburnsim.dynamics import DROP_BUDGET, SpectralPropagator
+from milburnsim.dynamics import (
+    DROP_BUDGET, SpectralPropagator, eigenbasis_series, milburn_factor)
 from milburnsim.fock import (
     SIGMA_X,
     SIGMA_Z,
@@ -29,7 +30,8 @@ def spectral_sigma_x_series(p, times):
     h = effective_hamiltonian_displaced(p)
     h = 0.5 * (h + h.conj().T)
     prop = SpectralPropagator(h=h, gamma=p.gamma)
-    return prop.expectation_series(initial_state(p), [SIGMA_X], times)[0]
+    return eigenbasis_series(*prop.eigenbasis(initial_state(p)), [SIGMA_X],
+                             times, milburn_factor, p.gamma)[0]
 
 
 param_sets = st.builds(
