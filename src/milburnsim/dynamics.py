@@ -13,7 +13,7 @@ Routes:
     SpectralPropagator.eigenbasis, one dense block from eigh or, for the
     full-oracle route, interaction_eigh), and eigenbasis_series turns it
     into every column: block_pair_weights folds the weights onto half the
-    eigenpairs, folded_series sums them in real arithmetic.  An exponential
+    eigenpairs, factor.series sums them in real arithmetic.  An exponential
     factor on an equispaced grid is a product of anchors and offsets, one
     vector-matrix product per anchor (ExponentialFactor.series); the kick
     sum (KickCountFactor) is a series over the kick count, in time order,
@@ -255,9 +255,10 @@ class KickCountFactor:
     all of them is one call before the blocks.  In time order the windows
     only move up, so g at the kick counts and ln m! are each one run
     (first count, values) carried through the blocks: a block evaluates
-    the counts above it as one equispaced run and reads a row's window at
-    m - first.  A block holds at most SERIES_BLOCK/2 window weights and
-    counts, or one row."""
+    the counts above it as one equispaced run; both runs then start at the
+    block's first count, and one index m - first reads a row's window in
+    each.  A block holds at most SERIES_BLOCK/2 window weights and counts,
+    or one row."""
 
     def series(self, weights, omega, times, gamma, squared):
         order = np.argsort(times, kind="stable")
@@ -275,22 +276,21 @@ class KickCountFactor:
         g = (0, kick_sums(np.arange(width)) if squared else np.empty(0))
         ln_fact = (0, np.empty(0))
         out = np.empty(len(times))
-        # work arrays, reused, so that no block faults in fresh pages
-        ints = np.empty((2, rows, width), dtype=np.int64)
-        reals = np.empty((2, rows, width))
         start = 0
         while start < len(times):  # rows whose counts fit, or one row
             stop = max(start + 1, min(start + rows, np.searchsorted(
                 windows[:, 1], windows[start, 0] + SERIES_BLOCK // 2)))
             m_lo, m_hi = windows[start:stop].T
             offset = np.arange(np.max(m_hi - m_lo) + 1)
-            block = np.s_[:len(m_lo), :len(offset)]
-            kicks = np.add.outer(m_lo, offset, out=ints[0][block])
+            kicks = np.add.outer(m_lo, offset)
+            # both runs start at m_lo[0]; ln m! reaches kicks[-1, -1], g only
+            # max(m_hi), so g is read clipped where p is 0
             ln_fact = _carried(ln_fact, m_lo[0], kicks[-1, -1], log_factorial)
-            at = np.add.outer(m_lo - ln_fact[0], offset, out=ints[1][block])
-            ln_m = np.take(ln_fact[1], at, mode="clip", out=reals[1][block])
+            if not squared:
+                g = _carried(g, m_lo[0], np.max(m_hi), kick_sums)
+            at = kicks - m_lo[0]
             p = poisson_pmf(kicks, means[start:stop, None],
-                            out=reals[0][block], log_factorials=ln_m)
+                            log_factorials=ln_fact[1][at])
             p[kicks > m_hi[:, None]] = 0.0
             p /= p.sum(axis=1, keepdims=True)
             if squared:  # A_0, 2 A_1, 2 A_2, ... on the lags as kick counts
@@ -299,12 +299,9 @@ class KickCountFactor:
                 p = np.fft.irfft(spectrum.real**2 + spectrum.imag**2,
                                  n)[:, :len(offset)]
                 p[:, 1:] *= 2.0
-                m_lo = np.zeros_like(m_lo)
-            else:
-                g = _carried(g, m_lo[0], np.max(m_hi), kick_sums)
-            at = np.add.outer(m_lo - g[0], offset, out=ints[1][block])
-            out[order[start:stop]] = np.einsum("ij,ij->i", p, np.take(
-                g[1], at, mode="clip", out=reals[1][block]))
+                at = np.broadcast_to(offset, p.shape)
+            out[order[start:stop]] = np.einsum(
+                "ij,ij->i", p, np.take(g[1], at, mode="clip"))
             start = stop
         return out
 
@@ -365,7 +362,11 @@ def block_pair_weights(amp, energies, op_blocks):
                 f"the purity of {len(live)} populated eigenvectors needs "
                 f"{count} pairs, more than {PAIR_BUDGET}; lower --alpha "
                 "or leave purity out of --observables")
-        j, k = live[_pair_table(len(live))]
+        # a table wider than the eigenbasis (a block route's purity) is not
+        # cached: tables of up to PAIR_BUDGET pairs would outlive the call
+        build = (_pair_table if len(live) <= amp.shape[1]
+                 else _pair_table.__wrapped__)
+        j, k = live[build(len(live))]
         diagonal, pairs = prob @ prob, prob[j] * prob[k]
         omega = energies[j] - energies[k]
     else:
@@ -379,46 +380,36 @@ def block_pair_weights(amp, energies, op_blocks):
     return float(constant), folded[keep], omega[keep], dropped
 
 
-def folded_series(constant, weights, omega, times, factor, gamma,
-                  squared=False):
-    """constant + Re sum_p weights_p F(omega_p, t) on a time grid, or with
-    ``squared`` (real weights) constant + sum_p weights_p |F(omega_p, t)|^2.
-
-    Every factor evaluates its own sum, by its ``series`` method: an
-    ExponentialFactor per eigenpair in real arithmetic, KickCountFactor
-    as a series in the kick count.
-
-    Raises FloatingPointError where the phase that rounding the
-    eigenfrequencies can cost, 2^-52 max|omega| max|t|, passes PHASE_TOL.
-    On an equispaced grid an ExponentialFactor takes t = t_a + j h for
-    the rounded row time, which adds at most about one more 2^-52
-    |omega| max|t| of phase: the same quantity, so the guard covers it.
-    Against evaluating F at each row time, the CSVs of every route move
-    by at most 2.6e-13 (at delta = 20, tmax 80).
-    """
-    times = np.asarray(times, dtype=float)
-    top_omega = float(np.max(np.abs(omega), initial=0.0))
-    top_t = float(np.max(np.abs(times), initial=0.0))
-    lost = 2.0**-52 * top_omega * top_t
-    if lost > PHASE_TOL:
-        raise FloatingPointError(
-            f"eigenfrequencies up to {top_omega:.3g} at times up to "
-            f"{top_t:.3g} can lose {lost:.3g} rad of phase to rounding, "
-            f"more than {PHASE_TOL:g}")
-    return factor.series(weights, omega, times, gamma, squared) + constant
-
-
 def eigenbasis_series(amp, energies, image, atom_ops, times, factor, gamma):
     """Tr(rho(t) op (x) I) of a pure state for each atom operator of
-    atom_ops (None: the purity) under the route's factor: folded_series
-    over block_pair_weights of its eigenbasis, amp and energies
-    (blocks, m) and image(op) (blocks, m, m).  One array per operator."""
+    atom_ops (None: the purity) under the route's factor, from its
+    eigenbasis, amp and energies (blocks, m) and image(op) (blocks, m, m):
+    the factor's series over the kept pairs of block_pair_weights plus
+    their constant.  One array per operator.
+
+    Raises FloatingPointError where the phase that rounding an
+    operator's kept eigenfrequencies can cost, 2^-52 max|omega| max|t|,
+    passes PHASE_TOL.  On an equispaced grid an ExponentialFactor takes
+    t = t_a + j h for the rounded row time, which adds at most about one
+    more 2^-52 |omega| max|t| of phase: the same quantity, so the guard
+    covers it.  Against evaluating F at each row time, the CSVs of every
+    route move by at most 2.6e-13 (at delta = 20, tmax 80).
+    """
+    times = np.asarray(times, dtype=float)
+    top_t = float(np.max(np.abs(times), initial=0.0))
     series = []
     for op in atom_ops:
         constant, weights, omega, _ = block_pair_weights(
             amp, energies, None if op is None else image(op))
-        series.append(folded_series(constant, weights, omega, times, factor,
-                                    gamma, squared=op is None))
+        top_omega = float(np.max(np.abs(omega), initial=0.0))
+        lost = 2.0**-52 * top_omega * top_t
+        if lost > PHASE_TOL:
+            raise FloatingPointError(
+                f"eigenfrequencies up to {top_omega:.3g} at times up to "
+                f"{top_t:.3g} can lose {lost:.3g} rad of phase to rounding, "
+                f"more than {PHASE_TOL:g}")
+        series.append(factor.series(weights, omega, times, gamma, op is None)
+                      + constant)
     return series
 
 

@@ -144,25 +144,25 @@ def log_factorial(m):
     return np.where(small, table, stirling)
 
 
-def poisson_pmf(m, mean, out=None, log_factorials=None):
+def poisson_pmf(m, mean, log_factorials=None):
     """Poisson probabilities p_m = e^{-mean} mean^m / m! for integer m and
     a mean that broadcasts against m (a column of means gives one row
     each), in log space so that large means neither overflow nor
     underflow: exp(m ln(mean) - log_factorial(m) - mean), 0^0 = 1 at mean
-    0; into ``out``, and with ``log_factorials`` as ln m!, if given.  Over
-    the window of dynamics.poisson_window it is within 3.2e-15 of
-    scipy.stats.poisson.pmf for means up to 100 and 6.5e-13 up to 1e6;
-    both carry the rounding of m ln(mean), which grows with the mean
-    (1.2e-13 from the exact value at mean 1e4)."""
+    0, with ``log_factorials`` as ln m! if given.  Over the window of
+    dynamics.poisson_window it is within 3.2e-15 of scipy.stats.poisson.pmf
+    for means up to 100 and 6.5e-13 up to 1e6; both carry the rounding of
+    m ln(mean), which grows with the mean (1.2e-13 from the exact value at
+    mean 1e4)."""
     m, mean = np.asarray(m), np.asarray(mean, dtype=float)
     # math.log: np.log differs from it in the last bit of some means
     log_mean = np.reshape([math.log(x) if x > 0 else -math.inf
                            for x in mean.flat], mean.shape)
     with np.errstate(invalid="ignore"):  # 0 * -inf at mean 0
-        out = np.asarray(np.multiply(m, log_mean, out=out))  # 0-d m too
-    np.copyto(out, 0.0, where=m == 0)
-    out -= log_factorial(m) if log_factorials is None else log_factorials
-    return np.exp(np.subtract(out, mean, out=out), out=out)
+        log_p = np.asarray(m * log_mean)  # 0-d m too
+    np.copyto(log_p, 0.0, where=m == 0)
+    log_p -= log_factorial(m) if log_factorials is None else log_factorials
+    return np.exp(np.subtract(log_p, mean, out=log_p), out=log_p)
 
 
 def atom_field(atom_op, field_op):

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -448,6 +449,21 @@ class TestRunCommand:
             "15340 populated eigenvectors", "117650130 pairs", "--alpha",
             "--observables"))
 
+    def test_purity_pair_table_is_released(self, tmp_path):
+        # |alpha - beta|^2 of about 110 populates about 1400 eigenvectors of
+        # the 2x2 blocks: their purity pair table, about 15 MB, is wider
+        # than the eigenbasis and must not outlive the run
+        argv = run_args("--method", "closed-form", "--alpha", "10.5",
+                        "--cutoff", "4000", "--steps", "2", "--observables",
+                        "purity", "--out", str(tmp_path / "x.csv"))
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            left, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak > 10_000_000 and left < 1_000_000
+
     @pytest.mark.parametrize("drive", [
         pytest.param(["--epsilon", "0.5"], id="real-drive"),
         pytest.param(["--epsilon", "0.4", "--epsilon-im", "0.3"],
@@ -858,12 +874,12 @@ class TestValidateCommand:
     def test_closed_form_check_is_independent(self, capsys, monkeypatch):
         # a fault in the shared series evaluator must not cancel out of the
         # closed-form check, so its state side may not use that evaluator
-        original = dynamics.folded_series
+        original = dynamics.ExponentialFactor.series
 
         def shifted(*args, **kwargs):
             return original(*args, **kwargs) + 1e-6
 
-        monkeypatch.setattr(dynamics, "folded_series", shifted)
+        monkeypatch.setattr(dynamics.ExponentialFactor, "series", shifted)
         assert main(["validate"]) == EXIT_VALIDATION
         out = capsys.readouterr().out
         assert "FAIL closed-form-vs-state-evolution" in out

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,6 @@ from milburnsim.dynamics import (
     effective_propagator,
     eigenbasis_series,
     first_order_factor,
-    folded_series,
     interaction_eigh,
     kick_count_factor,
     lindblad_first_order_evolve,
@@ -596,9 +596,8 @@ class TestBlockPairWeights:
         for a, b in zip(by_blocks[1:3], by_dense[1:3]):
             np.testing.assert_array_equal(a, b)
         times = np.linspace(0.0, 12.0, 1200)
-        series = [folded_series(constant, weights, omega, times,
-                                milburn_factor, p.gamma,
-                                squared=atom_op is None)
+        series = [milburn_factor.series(weights, omega, times, p.gamma,
+                                        atom_op is None) + constant
                   for constant, weights, omega, _ in (by_blocks, by_dense)]
         np.testing.assert_allclose(*series, rtol=0, atol=1e-14)
 
@@ -722,9 +721,10 @@ FACTORS_AND_DIRECT_SUMS = (
 
 
 def assert_matches_unfolded_sum(h, psi, op, gamma, times, factors):
-    """folded_series of the pure state psi and the atom operator op
-    against the plain complex sum over all eigenpairs of the density
-    matrix and the joint operator op (x) I, within the dropped weight."""
+    """The factor's series over block_pair_weights of the pure state psi
+    and the atom operator op, and eigenbasis_series, against the plain
+    complex sum over all eigenpairs of the density matrix and the joint
+    operator op (x) I, within the dropped weight."""
     prop = SpectralPropagator(h=h, gamma=gamma)
     amp, energies, image = prop.eigenbasis(psi)
     rho_e = prop.vectors.conj().T @ np.outer(psi, psi.conj()) @ prop.vectors
@@ -737,12 +737,63 @@ def assert_matches_unfolded_sum(h, psi, op, gamma, times, factors):
                           (None, np.abs(f) ** 2 @ np.abs(rho_e).ravel() ** 2)):
             constant, weights, freqs, dropped = block_pair_weights(
                 amp, energies, None if obs is None else image(obs))
-            series = folded_series(constant, weights, freqs, times, factor,
-                                   gamma, squared=obs is None)
+            series = factor.series(weights, freqs, times, gamma,
+                                   obs is None) + constant
             assert series.dtype == float
             assert np.max(np.abs(series - full)) <= dropped + 1e-14
             np.testing.assert_array_equal(eigenbasis_series(
                 amp, energies, image, [obs], times, factor, gamma)[0], series)
+
+
+class TestPhaseGuard:
+    """eigenbasis_series refuses an observable whose kept eigenfrequencies
+    can lose more than PHASE_TOL of phase to rounding, 2^-52 max|omega|
+    max|t|, each observable on its own kept pairs."""
+
+    TIMES = np.array([0.0, 0.5, 1.0])  # max|t| = 1
+    BOUND = dynamics.PHASE_TOL * 2.0**52  # the largest max|omega| admitted
+
+    @staticmethod
+    def basis(energies):
+        """An eigenbasis of 2x2 blocks at these energies, equal amplitudes
+        and the identity eigenvectors: image(op) is op in every block."""
+        energies = np.array(energies, dtype=float)
+        amp = np.full(energies.shape, np.sqrt(1.0 / energies.size))
+        return amp, energies, lambda op: np.broadcast_to(
+            op, (len(energies), 2, 2))
+
+    @pytest.mark.parametrize("atom_op", [SIGMA_X, None],
+                             ids=["sigma_x", "purity"])
+    @pytest.mark.parametrize("scale", [1 - 1e-3, 1 + 1e-3])
+    def test_bound(self, atom_op, scale):
+        # one block of two eigenvectors: both observables keep the pair at
+        # omega = -BOUND * scale, just below the bound or just above it
+        args = (*self.basis([[0.0, self.BOUND * scale]]), [atom_op],
+                self.TIMES, milburn_factor, 1e3)
+        if scale > 1:
+            with pytest.raises(FloatingPointError, match=re.escape(
+                    "eigenfrequencies up to 4.51e+09 at times up to 1 can "
+                    "lose 1e-06 rad of phase to rounding, more than 1e-06")):
+                eigenbasis_series(*args)
+        else:
+            series, = eigenbasis_series(*args)
+            assert np.all(np.isfinite(series))
+            assert series[0] == pytest.approx(1.0, rel=0, abs=1e-15)
+
+    def test_each_observable_takes_its_own_pairs(self):
+        # two blocks 2 BOUND apart: sigma_x and sigma_z join only the
+        # eigenvectors of one block (omega -1), the purity pairs across
+        # blocks (omega up to 2 BOUND + 1)
+        top = 2.0 * self.BOUND
+        basis = self.basis([[0.0, 1.0], [top, top + 1.0]])
+        values = eigenbasis_series(*basis, [SIGMA_X, SIGMA_Z], self.TIMES,
+                                   milburn_factor, 1e3)
+        assert all(np.all(np.isfinite(v)) for v in values)
+        with pytest.raises(FloatingPointError, match=re.escape(
+                "eigenfrequencies up to 9.01e+09 at times up to 1 can lose "
+                "2e-06 rad")):
+            eigenbasis_series(*basis, [SIGMA_X, None], self.TIMES,
+                              milburn_factor, 1e3)
 
 
 class TestFoldedSeries:
@@ -796,8 +847,8 @@ class TestFoldedSeries:
         monkeypatch.setattr(dynamics, "rows_per_anchor", lambda *args: (
             taken.append((len(args[0]), rows_per_anchor(*args)))
             or taken[-1][1]))
-        series = folded_series(0.25, weights, omega, times, kick_count_factor,
-                               gamma)
+        series = kick_count_factor.series(weights, omega, times, gamma,
+                                          False) + 0.25
         # every run of g, across gaps or not, is one equispaced run of
         # counts, taken by anchors and offsets, of at most SERIES_BLOCK/2
         # counts or one row's window
@@ -807,8 +858,8 @@ class TestFoldedSeries:
         np.testing.assert_allclose(series, 0.25 + (direct @ weights).real,
                                    rtol=0, atol=1e-12)
         # the purity's lags: one run from 0 per block, whatever the gaps
-        series = folded_series(0.25, weights.real, omega, times,
-                               kick_count_factor, gamma, squared=True)
+        series = kick_count_factor.series(weights.real, omega, times, gamma,
+                                          True) + 0.25
         np.testing.assert_allclose(
             series, 0.25 + np.abs(direct) ** 2 @ weights.real, rtol=0,
             atol=1e-12)
@@ -843,8 +894,8 @@ class TestFoldedSeries:
         monkeypatch.setattr(dynamics, "unitary_factor", UnitarySpy())
         monkeypatch.setattr(dynamics, "log_factorial", log_factorial_spy)
         monkeypatch.setattr(fock, "log_factorial", log_factorial_spy)
-        series = folded_series(0.25, weights, omega, times, kick_count_factor,
-                               gamma, squared=squared)
+        series = kick_count_factor.series(weights, omega, times, gamma,
+                                          squared) + 0.25
         assert np.all(np.isfinite(series))
         g, ln_factorial = (np.concatenate(seen[k]) for k in ("g", "ln m!"))
         if squared:  # the lags 0 .. the widest window's, in one call
@@ -871,8 +922,8 @@ class TestFoldedSeries:
         omega = rng.uniform(-10.0, 10.0, 12)
         times = np.sort(np.r_[np.linspace(0.0, 3.0, 150), 1.5])
         shuffle = rng.permutation(len(times))
-        values = [folded_series(0.25, weights, omega, grid, kick_count_factor,
-                                1e3, squared=squared)
+        values = [kick_count_factor.series(weights, omega, grid, 1e3,
+                                           squared) + 0.25
                   for grid in (times, times[shuffle])]
         np.testing.assert_array_equal(values[1], values[0][shuffle])
 
@@ -910,8 +961,7 @@ class TestAnchorOffsetSeries:
                 (weights.real, False, (f * weights.real).real.sum(axis=1)),
                 (weights.real, True, (np.abs(f) ** 2 * weights.real).sum(
                     axis=1))):
-            series = folded_series(0.25, w, omega, times, factor, 40.0,
-                                   squared=squared)
+            series = factor.series(w, omega, times, 40.0, squared) + 0.25
             np.testing.assert_allclose(series, 0.25 + direct, rtol=0,
                                        atol=1e-12)
 
@@ -935,8 +985,7 @@ class TestAnchorOffsetSeries:
                 (weights.real, False, (f * weights.real).real.sum(axis=1)),
                 (weights.real, True, (np.abs(f) ** 2 * weights.real).sum(
                     axis=1))):
-            series = folded_series(0.25, w, omega, times, factor, 40.0,
-                                   squared=squared)
+            series = factor.series(w, omega, times, 40.0, squared) + 0.25
             np.testing.assert_allclose(series[rows], 0.25 + direct, rtol=0,
                                        atol=1e-12)
 
@@ -950,7 +999,7 @@ class TestAnchorOffsetSeries:
         assert dynamics.rows_per_anchor(np.array([3.0]), len(omega)) == 1
         f = factor(omega, times[:, None], 40.0)
         np.testing.assert_allclose(
-            folded_series(0.0, weights, omega, times, factor, 40.0),
+            factor.series(weights, omega, times, 40.0, False),
             (f * weights).real.sum(axis=1), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("factor", EXPONENTIAL_FACTORS)
@@ -964,8 +1013,8 @@ class TestAnchorOffsetSeries:
             weights, omega = self.pairs(rng, count, dyadic=count > 1)
             for w, squared in ((weights, False), (weights.real, False),
                                (weights.real, True)):
-                series = folded_series(0.25, w, omega, times, factor, 40.0,
-                                       squared=squared)
+                series = factor.series(w, omega, times, 40.0,
+                                       squared) + 0.25
                 assert series[0] == 0.25 + weights.real.sum()
 
     @pytest.mark.parametrize("factor", EXPONENTIAL_FACTORS
@@ -973,9 +1022,8 @@ class TestAnchorOffsetSeries:
     @pytest.mark.parametrize("squared", [False, True])
     def test_no_kept_pairs_gives_the_constant(self, factor, squared):
         times = np.linspace(0.0, 48.0, 24000)
-        series = folded_series(0.25, np.zeros(0, dtype=complex),
-                               np.zeros(0), times, factor, 40.0,
-                               squared=squared)
+        series = factor.series(np.zeros(0, dtype=complex), np.zeros(0),
+                               times, 40.0, squared) + 0.25
         np.testing.assert_array_equal(series, np.full(24000, 0.25))
 
     def test_sigma_z_without_drive_keeps_no_pair(self):
