@@ -9,11 +9,13 @@ Routes:
     per eigenfrequency (Milburn's, the windowed Poisson kick sum, the
     first-order master equation's, or the unitary phase) on weights.  A
     run builds the pure state's eigenbasis once, by one of two builders
-    (observables.block_eigenbasis, a 2x2 block per photon number, or
-    SpectralPropagator.eigenbasis, one dense block from eigh or, for the
-    full-oracle route, interaction_eigh), and eigenbasis_series turns it
-    into every column: block_pair_weights folds the weights onto half the
-    eigenpairs, factor.series sums them in real arithmetic.  An exponential
+    (observables.block_eigenbasis, a 2x2 block per photon number solved in
+    closed form by traceless_eigh, or SpectralPropagator.eigenbasis, one
+    dense block from eigh or, for the full-oracle route, interaction_eigh,
+    an SVD whose 2x2 blocks traceless_eigh solves too), and
+    eigenbasis_series turns it into every column: block_pair_weights
+    folds the weights onto half the eigenpairs, factor.series sums them
+    in real arithmetic.  An exponential
     factor on an equispaced grid is a product of anchors and offsets, one
     vector-matrix product per anchor (ExponentialFactor.series); the kick
     sum (KickCountFactor) is a series over the kick count, in time order,
@@ -413,19 +415,40 @@ def eigenbasis_series(amp, energies, image, atom_ops, times, factor, gamma):
     return series
 
 
+def traceless_eigh(d, c):
+    """Closed-form eigh of the traceless Hermitian 2x2 blocks
+    [[d, c], [c*, -d]], broadcast over d and c: -+r, r = hypot(d, |c|), on
+    (-sin u, ph cos u) and (cos u, ph sin u), at the half angle
+    u = atan2(|c|, d)/2 and the phase ph = c*/|c|: -+1 for a real c (1 at
+    c = 0), so V is float64, and exp(-i arg c) for a complex one, as
+    numpy's complex division by a subnormal |c| overflows.  |c| is
+    hypot(Re c, Im c), as Python's abs takes it: numpy's complex abs can
+    differ from it in the last bit.  Returns (r, V), V[..., :, 0] the -r
+    column."""
+    mod = np.hypot(np.real(c), np.imag(c))
+    half = np.arctan2(mod, d) / 2
+    cos, sin, r = np.cos(half), np.sin(half), np.hypot(d, mod)
+    ph = (np.exp(-1j * np.angle(c)) if np.iscomplexobj(c)
+          else np.where(c < 0, -1.0, 1.0))
+    return r, np.stack([-sin, cos, ph * cos, ph * sin], -1).reshape(
+        *np.shape(half), 2, 2)
+
+
 def interaction_eigh(h):
     """eigh of an h = [[a I, C], [C^dag, -a I]] by the SVD C = U S W^dag:
-    -+hypot(a, s_k) on (-sin u_k, cos w_k) and (cos u_k, sin w_k) at angle
-    atan2(s_k, a)/2, in ascending order; None for an h not of this form."""
+    on (u_k, w_k) h is the block [[a, s_k], [s_k, -a]], whose traceless_eigh
+    gives -+hypot(a, s_k) and the coefficients of u_k and w_k, in
+    ascending order; None for an h not of this form."""
     n, a = len(h) // 2, h[0, 0].real
     if not (np.array_equal(h[:n, :n], a * np.eye(n))
             and np.array_equal(h[n:, n:], -h[:n, :n])):
         return None
     u, s, w_dag = np.linalg.svd(h[:n, n:])  # s descends, so -r ascends
-    half, w = np.arctan2(s, a) / 2, w_dag.conj().T
-    cos, sin, r = np.cos(half), np.sin(half), np.hypot(a, s)
+    r, v = traceless_eigh(a, s)
+    (neg_u, pos_u), (neg_w, pos_w) = v.transpose(1, 2, 0)
+    w = w_dag.conj().T
     return np.concatenate([-r, r[::-1]]), np.block(
-        [[-sin * u, (cos * u)[:, ::-1]], [cos * w, (sin * w)[:, ::-1]]])
+        [[neg_u * u, (pos_u * u)[:, ::-1]], [neg_w * w, (pos_w * w)[:, ::-1]]])
 
 
 @dataclass

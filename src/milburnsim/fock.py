@@ -66,8 +66,8 @@ def displacement(beta, dcut):
     (eigh reads its lower triangle): with S = V diag(e) V^T, D = P V
     diag(exp(-i e)) V^T P^dag.  A real beta gives an exactly real D, as
     Pade expm does, returned as float64 (the imaginary part is rounding
-    only): the series kernel then keeps real weights and skips their sine
-    term."""
+    only): a real drive's displaced Hamiltonian is then float64, and its
+    eigh and basis change run in real arithmetic."""
     _check_cutoff(dcut)
     if not np.isfinite(beta):
         raise ValueError("displacement amplitude must be finite")

@@ -76,12 +76,11 @@ def rabi_blocks(p: SystemParams, n):
     return detuned, np.hypot(detuned, abs(p.epsilon))
 
 
-def effective_core_blocks(p: SystemParams, count=None):
-    """The (count, 2, 2) stack of photon-number blocks of the undisplaced
-    core, n = 0 .. count-1 (default: the cutoff), h_n = [[Delta_n, eps],
-    [eps*, -Delta_n]] in the atom basis (|e>, |g>), with Delta_n from
-    rabi_blocks."""
-    detuned, _ = rabi_blocks(p, np.arange(p.dcut if count is None else count))
+def effective_core_blocks(p: SystemParams):
+    """The (dcut, 2, 2) stack of photon-number blocks of the undisplaced
+    core, h_n = [[Delta_n, eps], [eps*, -Delta_n]] in the atom basis
+    (|e>, |g>), with Delta_n from rabi_blocks."""
+    detuned, _ = rabi_blocks(p, np.arange(p.dcut))
     blocks = np.empty((len(detuned), 2, 2), dtype=complex)
     blocks[:, 0, 0], blocks[:, 1, 1] = detuned, -detuned
     blocks[:, 0, 1], blocks[:, 1, 0] = p.epsilon, np.conjugate(p.epsilon)

@@ -11,10 +11,9 @@ from .fock import (
     expectation,
     identity_field,
 )
-from .hamiltonians import (
-    displaced_photon_weights, effective_core_blocks, rabi_blocks)
+from .hamiltonians import displaced_photon_weights, rabi_blocks
 from .params import SystemParams, warn_if_not_dispersive
-from .dynamics import eigenbasis_series, milburn_factor
+from .dynamics import eigenbasis_series, milburn_factor, traceless_eigh
 from dataclasses import dataclass
 
 ATOM_STATE = np.ones(2, dtype=complex) / np.sqrt(2.0)  # (|e> + |g>)/sqrt(2)
@@ -40,18 +39,18 @@ def initial_density(p: SystemParams):
 def block_eigenbasis(p: SystemParams):
     """The state's eigenbasis in the blocks h_n of the displaced frame, for
     eigenbasis_series: there the field is |alpha - beta> at every time and
-    an atom_op (x) I commutes with D(beta).  In the eigenbasis V_n of h_n
-    (a batched 2x2 eigh) the amplitudes are sqrt(p_n) V_n^dag ATOM_STATE,
+    an atom_op (x) I commutes with D(beta).  h_n = [[Delta_n, eps],
+    [eps*, -Delta_n]] is solved in closed form by traceless_eigh, whose
+    eigenvalues -Omega_n, Omega_n are rabi_blocks' hypot to the bit.  In
+    the eigenbasis V_n the amplitudes are sqrt(p_n) V_n^dag ATOM_STATE,
     p_n = displaced_photon_weights, and image(atom_op) is the blocks
     V_n^dag atom_op V_n.  p_n ends at the last nonzero weight, so the cost
     follows the state, not the cutoff."""
     warn_if_not_dispersive(p)
     p_n = displaced_photon_weights(p)
-    _, vectors = np.linalg.eigh(effective_core_blocks(p, len(p_n)))
-    # eigh orders eigenvectors s = 0, 1 of block n as (-Omega_n, Omega_n),
-    # which rabi_blocks gives to half an ulp, keeping long runs in phase
+    detuned, _ = rabi_blocks(p, np.arange(len(p_n)))
+    omega_n, vectors = traceless_eigh(detuned, p.epsilon)
     amp = (ATOM_STATE @ vectors.conj()) * np.sqrt(p_n)[:, None]
-    omega_n = rabi_blocks(p, np.arange(len(p_n)))[1]
     return (amp, np.stack([-omega_n, omega_n], axis=1),
             lambda op: np.swapaxes(vectors.conj(), 1, 2) @ op @ vectors)
 

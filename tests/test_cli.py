@@ -202,18 +202,27 @@ class TestRunCommand:
         ("lindblad", lambda rho0, h, t, gamma:
             dynamics.lindblad_first_order_evolve(rho0, h, t, gamma, 1e-3),
             1e-9),
+        ("closed-form", lambda rho0, h, t, gamma:
+            dynamics.SpectralPropagator(h, gamma).evolve(rho0, t), 1e-12),
     ])
     @pytest.mark.parametrize("drive", [
-        pytest.param([], id="real-drive"),
-        pytest.param(["--epsilon-im", "0.3"], id="complex-drive")])
+        pytest.param(["--epsilon", "0.5"], id="real-drive"),
+        pytest.param(["--epsilon", "0.5", "--epsilon-im", "0.3"],
+                     id="complex-drive"),
+        pytest.param(["--epsilon", "-0.4"], id="negative-drive"),
+        pytest.param(["--epsilon", "0", "--epsilon-im", "0.3"],
+                     id="imaginary-drive"),
+        pytest.param(["--epsilon", "-0.2", "--epsilon-im", "-0.7"],
+                     id="third-quadrant-drive")])
     def test_block_routes_match_state_level_references(self, method, evolve,
                                                        tol, drive):
-        # the kick sum, the first-order and the unitary route take the 2x2
-        # blocks; each state-level reference evolves the dense density
-        # matrix under the displaced Hamiltonian (Poisson kicks, RK4 at
-        # dt = 1e-3, Pade expm)
+        # the block routes take the closed-form 2x2 eigenbasis, whose phase
+        # c*/|c| is -1 at a negative drive and complex at an imaginary one;
+        # each state-level reference evolves the dense density matrix under
+        # the displaced Hamiltonian (Poisson kicks, RK4 at dt = 1e-3, Pade
+        # expm, or per-point spectral evolution)
         cfg = build_run_config(build_parser().parse_args(run_args(
-            "--method", method, "--epsilon", "0.5", *drive, "--gamma", "50",
+            "--method", method, *drive, "--gamma", "50",
             "--alpha", "1", "--cutoff", "16", "--tmax", "1.5", "--steps", "4",
             "--observables", "sigma_x,sigma_z,purity")))
         times, columns = cli.compute_series(cfg)
@@ -252,10 +261,11 @@ class TestRunCommand:
         ("schrodinger", False), ("spectral", True), ("full-oracle", True)])
     def test_only_dense_routes_diagonalise_the_joint_space(
             self, monkeypatch, method, dense):
-        # the block routes build no SpectralPropagator, no displacement, no
-        # eigh of a (2 cutoff)^2 matrix and no SVD of a cutoff^2 one; the
-        # spectral route runs one such eigh, the full-oracle route one SVD
-        # of its field coupling and no eigh
+        # the block routes solve their 2x2 blocks in closed form: no
+        # SpectralPropagator, no displacement, no eigh of any shape and no
+        # SVD of a cutoff^2 matrix; the spectral route runs one eigh of the
+        # (2 cutoff)^2 H, the full-oracle route one SVD of its field
+        # coupling and no eigh at all
         built = []
         propagator, eigh, svd, displacement = (
             cli.SpectralPropagator, np.linalg.eigh, np.linalg.svd,
@@ -266,8 +276,7 @@ class TestRunCommand:
             return propagator(*args, **kwargs)
 
         def eigh_spy(a, *args, **kwargs):
-            if np.shape(a) == (32, 32):
-                built.append("eigh")
+            built.append(("eigh", np.shape(a)))
             return eigh(a, *args, **kwargs)
 
         def svd_spy(a, *args, **kwargs):
@@ -290,10 +299,13 @@ class TestRunCommand:
             "--observables", "sigma_x,sigma_z,purity")))
         _, columns = cli.compute_series(cfg)
         assert all(np.isfinite(column).all() for column in columns)
+        eighs = [call[1] for call in built if isinstance(call, tuple)]
         if dense:
             assert built.count("SpectralPropagator") == 1
-            assert (built.count("eigh"), built.count("svd")) == (
-                (1, 0) if method == "spectral" else (0, 1))
+            if method == "spectral":  # besides displacement's tridiagonal
+                assert (eighs.count((32, 32)), built.count("svd")) == (1, 0)
+            else:
+                assert (eighs, built.count("svd")) == ([], 1)
         else:
             assert built == []
 

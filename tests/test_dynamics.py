@@ -26,6 +26,7 @@ from milburnsim.dynamics import (
     prune_weights,
     rabi_blocks,
     schrodinger_evolve,
+    traceless_eigh,
     unitary_factor,
 )
 from milburnsim.fock import (
@@ -320,6 +321,79 @@ def random_unitary(rng, dim):
     q, r = np.linalg.qr(rng.standard_normal((dim, dim))
                         + 1j * rng.standard_normal((dim, dim)))
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+TINY, SUBNORMAL = np.finfo(float).tiny, 5e-324
+# 0, the smallest normal and subnormal and a huge value of either sign,
+# and ordinary ones
+BLOCK_DIAGONALS = st.one_of(
+    st.sampled_from([0.0, TINY, -TINY, SUBNORMAL, -SUBNORMAL, 1e150,
+                     -1e150]),
+    st.floats(min_value=-10.0, max_value=10.0))
+BLOCK_MODULI = st.one_of(st.sampled_from([TINY, SUBNORMAL, 1e150]),
+                         st.floats(min_value=1e-3, max_value=10.0))
+
+
+@st.composite
+def block_couplings(draw):
+    """The off-diagonal c of [[d, c], [c*, -d]]: a real c of either sign,
+    a complex one of any phase, or 0."""
+    kind = draw(st.sampled_from(["positive", "negative", "complex", "zero"]))
+    if kind == "zero":
+        return 0.0
+    modulus = draw(BLOCK_MODULI)
+    if kind == "complex":
+        return complex(modulus * np.exp(1j * draw(
+            st.floats(min_value=-np.pi, max_value=np.pi))))
+    return modulus if kind == "positive" else -modulus
+
+
+class TestTracelessEigh:
+    """The closed-form eigenbasis of the traceless blocks [[d, c], [c*, -d]]
+    that the block routes solve, one d per photon number, as
+    block_eigenbasis calls it."""
+
+    @staticmethod
+    def check_eigenbasis(d, c):
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            r, v = traceless_eigh(d, c)
+        assert np.all(np.isfinite(v))
+        assert v.dtype == (np.complex128 if isinstance(c, complex)
+                           else np.float64)
+        # the energies are rabi_blocks' hypot to the bit
+        np.testing.assert_array_equal(r, np.hypot(d, abs(c)))
+        np.testing.assert_allclose(
+            np.swapaxes(v.conj(), 1, 2) @ v, np.broadcast_to(
+                np.eye(2), v.shape), rtol=0, atol=1e-15)
+        h = np.empty((len(d), 2, 2), dtype=v.dtype)
+        h[:, 0, 0], h[:, 1, 1] = d, -d
+        h[:, 0, 1], h[:, 1, 0] = c, np.conjugate(c)
+        # within a few ulp of r, as a backward-stable eigh would leave it
+        residual = np.abs(h @ v - v * np.stack([-r, r], axis=1)[:, None])
+        assert np.all(residual <= 8 * np.spacing(r)[:, None, None])
+
+    @given(st.lists(BLOCK_DIAGONALS, min_size=1, max_size=6),
+           block_couplings())
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form_eigenbasis(self, d, c):
+        self.check_eigenbasis(np.array(d), c)
+
+    @pytest.mark.parametrize("c", [
+        complex(SUBNORMAL, SUBNORMAL), complex(0.0, SUBNORMAL), -SUBNORMAL,
+        complex(-SUBNORMAL, 0.0), -0.4 + 0j, -0.0])
+    def test_subnormal_and_real_axis_couplings(self, c):
+        # a subnormal |c|, whose 1/|c| overflows, and a complex c on the
+        # negative real axis
+        self.check_eigenbasis(
+            np.array([0.0, 1.0, -2.0, SUBNORMAL, -1e150]), c)
+
+    def test_degenerate_block_is_the_atom_basis(self):
+        # fig1(a)'s block n = 2, at eps = 0 and Delta_2 = 0: r is exactly 0
+        # and the vectors are |g> and |e>, with no 0/0
+        with np.errstate(all="raise"):
+            r, v = traceless_eigh(np.array([0.0]), 0.0)
+        assert r[0] == 0.0 and v.dtype == np.float64
+        np.testing.assert_array_equal(np.abs(v[0]), [[0.0, 1.0], [1.0, 0.0]])
 
 
 @st.composite
