@@ -8,20 +8,19 @@ Routes:
     eigenbasis of H, so an observable's time series is one scalar factor
     per eigenfrequency (Milburn's, the windowed Poisson kick sum, the
     first-order master equation's, or the unitary phase) on weights.  A
-    run builds the pure state's eigenbasis once, by one of two builders
-    (observables.block_eigenbasis, a 2x2 block per photon number solved in
-    closed form by traceless_eigh, or SpectralPropagator.eigenbasis, one
-    dense block from eigh or, for the full-oracle route, interaction_eigh,
-    an SVD whose 2x2 blocks traceless_eigh solves too), and
-    eigenbasis_series turns it into every column: block_pair_weights
-    folds the weights onto half the eigenpairs, factor.series sums them
-    in real arithmetic.  An exponential
-    factor on an equispaced grid is a product of anchors and offsets, one
-    vector-matrix product per anchor (ExponentialFactor.series); the kick
-    sum (KickCountFactor) is a series over the kick count, in time order,
-    whose per-count sums (the unitary factor's series at the counts) and
-    ln m! are each carried through the blocks as one run of counts, and
-    whose purity takes that series at all its lags in one call;
+    run builds the pure state's eigenbasis once, from H alone, by one of
+    two builders (observables.block_eigenbasis, a 2x2 block per photon
+    number solved in closed form by traceless_eigh, or
+    SpectralPropagator(h).eigenbasis, one dense block from eigh or, for
+    the full-oracle route, interaction_eigh, an SVD whose 2x2 blocks
+    traceless_eigh solves too), and eigenbasis_series turns it into every
+    column: block_pair_weights folds the weights onto half the eigenpairs,
+    factor.series, where gamma enters, sums them in real arithmetic.  An
+    exponential factor on an equispaced grid is a product of anchors and
+    offsets, one vector-matrix product per anchor; the kick sum is a
+    series over the kick count at ascending times, whose per-count sums
+    and ln m! are each carried through the blocks as one run of counts,
+    and whose purity takes that series at all its lags in one call;
   * state-level routes kept as independent references for that kernel:
     exact intrinsic-decoherence evolution as a Poisson-weighted sum of
     repeated unitary kicks (milburn_poisson_evolve) or in spectral
@@ -32,7 +31,7 @@ Routes:
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -45,10 +44,6 @@ from .params import SystemParams
 
 POISSON_MAX_TERMS = 100_000  # kick counts a Poisson window may hold
 HERMITIAN_TOL = 1e-9  # max |h - h^dag| a Hamiltonian may have
-
-
-class WindowBudgetError(RuntimeError):
-    """Poisson window exceeds the term budget; use the spectral route."""
 
 
 def block_propagators(t, p: SystemParams):
@@ -93,14 +88,14 @@ def poisson_window(mean):
     two-sided 8 sigma Gaussian tail, 1.2e-15, for large means.
 
     Floor and ceil widen the window by less than 2, so it holds fewer
-    than 2 half + 3 counts.  A mean is refused when that bound passes
-    POISSON_MAX_TERMS, before any rounding: the bound grows with the
-    mean, so every mean above a refused one is refused too.
+    than 2 half + 3 counts.  A mean is refused, with a MemoryError, when
+    that bound passes POISSON_MAX_TERMS, before any rounding: the bound
+    grows with the mean, so every mean above a refused one is refused too.
     """
     half = 8.0 * math.sqrt(mean + 1.0)
     terms = 2.0 * half + 3.0
     if terms > POISSON_MAX_TERMS:
-        raise WindowBudgetError(
+        raise MemoryError(
             f"Poisson window of up to {terms:.6g} kick counts at mean "
             f"{mean:.6g} exceeds {POISSON_MAX_TERMS} terms; "
             "use the spectral route for large gamma*t"
@@ -254,17 +249,18 @@ class KickCountFactor:
     autocorrelation A_d = sum_m p_m p_{m+d} of each row's weights from one
     rfft per block of rows.  g is unitary_factor's series at the times m.
     The purity's lags run from 0 to the widest window's width, so g at
-    all of them is one call before the blocks.  In time order the windows
-    only move up, so g at the kick counts and ln m! are each one run
-    (first count, values) carried through the blocks: a block evaluates
-    the counts above it as one equispaced run; both runs then start at the
-    block's first count, and one index m - first reads a row's window in
-    each.  A block holds at most SERIES_BLOCK/2 window weights and counts,
-    or one row."""
+    all of them is one call before the blocks.  The times ascend (it
+    refuses any that descend), so the windows only move up, and g at the
+    kick counts and ln m! are each one run (first count, values) carried
+    through the blocks: a block evaluates the counts above it as one
+    equispaced run; both runs then start at the block's first count, and
+    one index m - first reads a row's window in each.  A block holds at
+    most SERIES_BLOCK/2 window weights and counts, or one row."""
 
     def series(self, weights, omega, times, gamma, squared):
-        order = np.argsort(times, kind="stable")
-        means = gamma * times[order]
+        if np.any(np.diff(times) < 0):
+            raise ValueError("the kick sum takes times in ascending order")
+        means = gamma * times
         # every window is checked before any array is allocated
         windows = np.array([poisson_window(x) for x in means],
                            dtype=np.int64).reshape(-1, 2)
@@ -302,7 +298,7 @@ class KickCountFactor:
                                  n)[:, :len(offset)]
                 p[:, 1:] *= 2.0
                 at = np.broadcast_to(offset, p.shape)
-            out[order[start:stop]] = np.einsum(
+            out[start:stop] = np.einsum(
                 "ij,ij->i", p, np.take(g[1], at, mode="clip"))
             start = stop
         return out
@@ -451,34 +447,27 @@ def interaction_eigh(h):
         [[neg_u * u, (pos_u * u)[:, ::-1]], [neg_w * w, (pos_w * w)[:, ::-1]]])
 
 
-@dataclass
 class SpectralPropagator:
-    """Eigendecomposition of h and the eigenbasis of the dense routes
+    """Eigendecomposition of h, the eigenbasis of the dense routes
     (spectral, full-oracle).  An h of the interaction form (atom blocks
     a I and -a I on the diagonal, as the full-oracle route's) is
     diagonalised by interaction_eigh, one SVD of its off-diagonal block,
     any other h (the spectral route's) by a dense eigh.  A real h (no
     imaginary part, whatever its dtype) is diagonalised in float64 and its
     eigenvectors are real; a real state or operator then reaches the
-    eigenbasis in float64 too.  Read-only after construction; safe to
-    share across workers."""
+    eigenbasis in float64 too.  The rate enters only through evolve."""
 
-    h: np.ndarray
-    gamma: float
-    energies: np.ndarray = field(init=False)
-    vectors: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        h = real_if_real(self.h)
+    def __init__(self, h):
+        h = real_if_real(h)
         _check_hermitian(h)
         self.energies, self.vectors = interaction_eigh(h) or np.linalg.eigh(h)
 
-    def evolve(self, rho0, t):
-        """rho(t) under Milburn's equation: rho0's eigenbasis entries times
-        Milburn's factor at w = E_j - E_k."""
+    def evolve(self, rho0, t, gamma):
+        """rho(t) under Milburn's equation at rate gamma: rho0's eigenbasis
+        entries times Milburn's factor at w = E_j - E_k."""
         omega = self.energies[:, None] - self.energies[None, :]
         rho_e = (self.vectors.conj().T @ real_if_real(rho0) @ self.vectors
-                 * milburn_factor(omega, t, self.gamma))
+                 * milburn_factor(omega, t, gamma))
         return self.vectors @ rho_e @ self.vectors.conj().T
 
     def eigenbasis(self, psi):
@@ -492,15 +481,12 @@ class SpectralPropagator:
                             .reshape(v.shape))[None])
 
 
-class StepSizeError(RuntimeError):
-    """Trace drift indicates the integrator step is too large."""
-
-
 def lindblad_first_order_evolve(rho0, h, t, gamma, dt):
     """First-order-in-1/gamma master equation,
     drho/dt = -i[h, rho] - (1/2 gamma) [h, [h, rho]],
     integrated with fixed-step RK4.  Hermiticity is re-symmetrized each
-    step; trace drift beyond 1e-6 aborts.
+    step; trace drift beyond 1e-6, a step too large, raises a
+    FloatingPointError.
     """
     _check_hermitian(h)
     h = np.asarray(h, dtype=complex)
@@ -523,5 +509,5 @@ def lindblad_first_order_evolve(rho0, h, t, gamma, dt):
         rho = 0.5 * (rho + rho.conj().T)
     drift = abs(np.trace(rho).real - trace0)
     if not np.isfinite(drift) or drift > 1e-6:
-        raise StepSizeError(f"trace drifted by {drift:.3e}; reduce dt")
+        raise FloatingPointError(f"trace drifted by {drift:.3e}; reduce dt")
     return rho

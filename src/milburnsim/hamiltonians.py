@@ -127,15 +127,15 @@ def _rotation_generator(dcut):
             - atom_field(SIGMA_PLUS, annihilation(dcut)))
 
 
-def small_rotation_exact(op, eta, dcut):
-    """R op R^dag with R = exp[eta (a^dag s- - s+ a)]."""
-    rot = matrix_exponential(eta * _rotation_generator(dcut))
+def small_rotation_exact(op, eta):
+    """R op R^dag with R = exp[eta (a^dag s- - s+ a)], at op's cutoff."""
+    rot = matrix_exponential(eta * _rotation_generator(len(op) // 2))
     return rot @ op @ rot.conj().T
 
 
-def small_rotation_first_order(op, eta, dcut):
-    """First-order rotation op + eta [a^dag s- - s+ a, op]."""
-    gen = _rotation_generator(dcut)
+def small_rotation_first_order(op, eta):
+    """First-order rotation op + eta [a^dag s- - s+ a, op] at op's cutoff."""
+    gen = _rotation_generator(len(op) // 2)
     return op + eta * (gen @ op - op @ gen)
 
 

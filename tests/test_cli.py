@@ -69,6 +69,20 @@ class TestConfigParsing:
         cfg = build_run_config(args)
         assert cfg.epsilon == 0.3 + 0.4j
 
+    def test_negative_value_in_exponent_form(self, tmp_path):
+        # argparse may take a bare -4e-1 for a flag; the attached form and
+        # a config file give the bytes of --epsilon -0.4
+        conf = tmp_path / "run.conf"
+        conf.write_text("epsilon = -4e-1\n")
+        written = []
+        for i, given in enumerate((["--epsilon", "-0.4"], ["--epsilon=-4e-1"],
+                                   ["--config", str(conf)])):
+            out = tmp_path / f"{i}.csv"
+            assert main(run_args(*given, "--tmax", "2", "--steps", "20",
+                                 "--out", str(out))) == EXIT_OK
+            written.append(out.read_bytes())
+        assert written[1] == written[0] and written[2] == written[0]
+
     # one value per run setting, each different from its default
     SETTING_VALUES = {
         "lambda": "1.5", "epsilon": "0.25", "epsilon-im": "0.5",
@@ -203,7 +217,7 @@ class TestRunCommand:
             dynamics.lindblad_first_order_evolve(rho0, h, t, gamma, 1e-3),
             1e-9),
         ("closed-form", lambda rho0, h, t, gamma:
-            dynamics.SpectralPropagator(h, gamma).evolve(rho0, t), 1e-12),
+            dynamics.SpectralPropagator(h).evolve(rho0, t, gamma), 1e-12),
     ])
     @pytest.mark.parametrize("drive", [
         pytest.param(["--epsilon", "0.5"], id="real-drive"),
@@ -272,6 +286,7 @@ class TestRunCommand:
             fock.displacement)
 
         def propagator_spy(*args, **kwargs):
+            assert len(args) + len(kwargs) == 1  # h alone, no rate
             built.append("SpectralPropagator")
             return propagator(*args, **kwargs)
 

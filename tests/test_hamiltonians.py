@@ -285,7 +285,7 @@ class TestExactRewriting:
             lobe = (times >= first) & (times <= first + 0.3 * unit)
             return times[np.argmax(np.where(lobe, a, -1.0))] / unit
 
-        prop = SpectralPropagator(interaction_hamiltonian(p), p.gamma)
+        prop = SpectralPropagator(interaction_hamiltonian(p))
         full, = eigenbasis_series(*prop.eigenbasis(initial_state(p)),
                                   [SIGMA_X], times, milburn_factor, p.gamma)
         core = revival(sigma_x_closed_form(p, times))
@@ -301,8 +301,8 @@ class TestSmallRotation:
 
     def test_zero_angle_is_identity(self):
         _, h = self._h_int()
-        np.testing.assert_allclose(small_rotation_exact(h, 0.0, 16), h)
-        np.testing.assert_allclose(small_rotation_first_order(h, 0.0, 16), h)
+        np.testing.assert_allclose(small_rotation_exact(h, 0.0), h)
+        np.testing.assert_allclose(small_rotation_first_order(h, 0.0), h)
 
     def test_rotation_is_unitary(self):
         from milburnsim.fock import matrix_exponential
@@ -314,26 +314,26 @@ class TestSmallRotation:
 
     def test_trace_invariance(self):
         _, h = self._h_int()
-        assert abs(np.trace(small_rotation_exact(h, -0.5, 16))
+        assert abs(np.trace(small_rotation_exact(h, -0.5))
                    - np.trace(h)) <= 1e-9
 
     def test_identity_commutes(self):
-        out = small_rotation_first_order(np.eye(32, dtype=complex), 0.3, 16)
+        out = small_rotation_first_order(np.eye(32, dtype=complex), 0.3)
         np.testing.assert_allclose(out, np.eye(32), atol=1e-14)
 
     def test_first_order_error_is_second_order(self):
         _, h = self._h_int()
         gaps = {}
         for eta in (0.1, 0.05):
-            diff = small_rotation_exact(h, eta, 16) \
-                - small_rotation_first_order(h, eta, 16)
+            diff = small_rotation_exact(h, eta) \
+                - small_rotation_first_order(h, eta)
             gaps[eta] = np.linalg.norm(diff, 2)
         assert 3.5 <= gaps[0.1] / gaps[0.05] <= 4.5
 
     def test_spectrum_preserved_away_from_edge(self):
         p = SystemParams(lam=1.0, epsilon=0.5, delta=2.0, gamma=1e3, dcut=32)
         h = interaction_hamiltonian(p)
-        hr = small_rotation_exact(h, -0.5, 32)
+        hr = small_rotation_exact(h, -0.5)
         e1 = np.sort(np.linalg.eigvalsh(h))
         e2 = np.sort(np.linalg.eigvalsh(0.5 * (hr + hr.conj().T)))
         assert np.max(np.abs(e1[:40] - e2[:40])) <= 1e-8
@@ -353,6 +353,6 @@ class TestCompareOperators:
         # the full truncated block reaches ~0.58
         p = SystemParams(lam=1.0, epsilon=0.5, delta=2.0, gamma=1e3, dcut=16)
         h = interaction_hamiltonian(p)
-        gap = compare_operators(small_rotation_exact(h, -0.1, 16),
-                                small_rotation_first_order(h, -0.1, 16), 8)
+        gap = compare_operators(small_rotation_exact(h, -0.1),
+                                small_rotation_first_order(h, -0.1), 8)
         assert gap <= 0.25

@@ -29,7 +29,7 @@ from milburnsim.params import (
 def spectral_sigma_x_series(p, times):
     h = effective_hamiltonian_displaced(p)
     h = 0.5 * (h + h.conj().T)
-    prop = SpectralPropagator(h=h, gamma=p.gamma)
+    prop = SpectralPropagator(h)
     return eigenbasis_series(*prop.eigenbasis(initial_state(p)), [SIGMA_X],
                              times, milburn_factor, p.gamma)[0]
 
@@ -67,8 +67,8 @@ class TestClosedForm:
         # the closed form
         times = np.sort(times)
         h = effective_hamiltonian_displaced(p)
-        prop = SpectralPropagator(h=h, gamma=p.gamma)
-        states = [prop.evolve(initial_density(p), t) for t in times]
+        prop = SpectralPropagator(h)
+        states = [prop.evolve(initial_density(p), t, p.gamma) for t in times]
         for atom_op in (SIGMA_X, SIGMA_Z, None):
             expected = [state_expectation(rho, atom_op) for rho in states]
             closed = closed_form_series(p, atom_op, times)
@@ -182,9 +182,9 @@ class TestStateObservables:
     def test_purity_bounded_after_decoherence(self, fig1b):
         h = effective_hamiltonian_displaced(fig1b)
         h = 0.5 * (h + h.conj().T)
-        prop = SpectralPropagator(h=h, gamma=fig1b.gamma)
-        val = state_expectation(prop.evolve(initial_density(fig1b), 2.0),
-                                None)
+        rho = SpectralPropagator(h).evolve(initial_density(fig1b), 2.0,
+                                           fig1b.gamma)
+        val = state_expectation(rho, None)
         assert 0.0 < val <= 1.0 + 1e-12
 
 
