@@ -130,8 +130,8 @@ def milburn_poisson_evolve(rho0, h, t, gamma):
     return out
 
 
-# factor entries the series kernel evaluates at once, and values
-# cli.write_csv formats at once
+# factor entries the series kernel evaluates at once (cli.write_csv has
+# its own block, cli.CSV_BLOCK)
 SERIES_BLOCK = 2**15
 DROP_BUDGET = 1e-14   # summed |weight| the series kernel may drop
 PHASE_TOL = 1e-6      # phase the eigenfrequencies' rounding may cost

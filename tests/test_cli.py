@@ -594,23 +594,26 @@ class TestRunCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
 
     def test_writer_matches_row_formatting(self, tmp_path, monkeypatch):
-        # 3 rows per block, so 11 rows span four blocks
-        monkeypatch.setattr(dynamics, "SERIES_BLOCK", 9)
+        # 3 rows per block, so 11 rows span four blocks; on the second grid
+        # the first block's times stay below 1000 and the second's reach
+        # it, so the integer slot widens by one group between them
+        monkeypatch.setattr(cli, "CSV_BLOCK", 9)
         edge = [-0.0, 5e-16, -1.0, 1.0 / 3.0, -5e-16, 1e-17, 0.5]
-        times = np.linspace(0.0, 1.0, 11)
         cols = [np.resize(edge, 11), -np.resize(edge[::-1], 11)]
         out = tmp_path / "w.csv"
-        write_csv(out, times, cols, ("a", "b"), ["note"])
-        expected = "# note\nt,a,b\n" + "".join(
-            f"{t:.15f},{a:.15f},{b:.15f}\n"
-            for t, a, b in zip(times, *cols))
-        assert out.read_bytes() == expected.encode()
+        for times in (np.linspace(0.0, 1.0, 11),
+                      np.linspace(997.0, 1007.0, 11)):
+            write_csv(out, times, cols, ("a", "b"), ["note"])
+            expected = "# note\nt,a,b\n" + "".join(
+                f"{t:.15f},{a:.15f},{b:.15f}\n"
+                for t, a, b in zip(times, *cols))
+            assert out.read_bytes() == expected.encode()
 
     def test_writer_mixes_fast_and_fallback_blocks(self, tmp_path,
                                                    monkeypatch):
         # 3 rows per block: the second and fourth blocks hold values that
         # only `%` formats, the first and third none
-        monkeypatch.setattr(dynamics, "SERIES_BLOCK", 9)
+        monkeypatch.setattr(cli, "CSV_BLOCK", 9)
         times = np.linspace(0.0, 1e300, 11)
         times[:3] = times[6:9] = [0.0, 0.25, -0.0]
         col = np.resize([1.0 / 3.0, -5e-16, 47.99999999999999, 2.0**52,
@@ -622,6 +625,46 @@ class TestRunCommand:
         expected = "t,a\n" + "".join(
             "%.15f,%.15f\n" % (t, a) for t, a in zip(times, col))
         assert out.read_bytes() == expected.encode()
+
+    def test_writer_memory_does_not_grow_with_rows(self, tmp_path):
+        # the writer stacks one block at a time from slices of the columns
+        # and holds no copy of the table
+        peaks = []
+        for n in (24_000, 240_000):
+            times = np.linspace(0.0, 48.0, n)
+            col = np.cos(times)
+            tracemalloc.start()
+            try:
+                write_csv(tmp_path / "m.csv", times, [col], ("a",))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 1.5 * 2**20
+        assert max(peaks) <= 1.1 * min(peaks)
+
+    def test_run_memory_is_its_output_arrays(self, tmp_path, monkeypatch):
+        # no second copy of the grid: the traced peak of a whole run is its
+        # output arrays and a block's worth more
+        outputs = []
+        compute_series = cli.compute_series
+
+        def spy(cfg):
+            times, cols = compute_series(cfg)
+            outputs.append(times.nbytes + sum(col.nbytes for col in cols))
+            return times, cols
+
+        monkeypatch.setattr(cli, "compute_series", spy)
+        argv = run_args("--method", "closed-form", "--tmax", "48", "--steps",
+                        "240000", "--observables", "sigma_x,sigma_z,purity",
+                        "--out", str(tmp_path / "x.csv"))
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert outputs[0] == 4 * 8 * 240_000
+        assert peak <= outputs[0] + 1.5 * 2**20
 
     def test_byte_stable_output(self, tmp_path):
         out_1 = tmp_path / "r1.csv"
