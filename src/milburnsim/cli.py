@@ -123,7 +123,7 @@ def _parse_config_file(path):
     """key = value lines; blank lines and #-comments ignored."""
     values = {}
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             for lineno, raw in enumerate(f, 1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
@@ -132,7 +132,7 @@ def _parse_config_file(path):
                     raise ConfigError(f"{path}:{lineno}: expected key = value")
                 key, _, val = line.partition("=")
                 values[key.strip()] = val.strip()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config file {path}: {e}")
     return values
 
@@ -197,21 +197,24 @@ def compute_series(cfg: RunConfig):
 def _write_atomic(path, chunks):
     """Write the byte strings of chunks to a new file beside path, then
     rename it onto path, so that a failure leaves path as it was.  A
-    failure to create the temporary file is reported against path."""
+    failure to create or rename the temporary file is reported against
+    path."""
     tmp = os.path.join(os.path.dirname(path),
                        f".{os.path.basename(path)}.{os.urandom(6).hex()}.tmp")
     try:
         f = open(tmp, "xb")
+        try:
+            with f:
+                for chunk in chunks:
+                    f.write(chunk)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     except OSError as e:
+        if e.filename != tmp:
+            raise
         raise OSError(e.errno, e.strerror, os.fspath(path)) from e
-    try:
-        with f:
-            for chunk in chunks:
-                f.write(chunk)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 # _format_fixed lays each value out in '<u4' words: a lead word (NUL pad,

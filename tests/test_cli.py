@@ -120,6 +120,17 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             build_run_config(args)
 
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        # a Latin-1 e-acute in a comment: refused as unreadable, exit 2
+        conf = tmp_path / "run.conf"
+        conf.write_bytes(b"steps = 5\n# caf\xe9\n")
+        out = tmp_path / "x.csv"
+        code = main(["run", "--config", str(conf), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read config file {conf}: ")
+        assert not out.exists()
+
 
 def _out_of_memory(cfg):
     raise MemoryError("Unable to allocate 7.28 TiB")
@@ -551,14 +562,20 @@ class TestRunCommand:
         assert not out.exists()
 
     def test_unwritable_output_exit_code(self, tmp_path, capsys):
-        out = tmp_path / "missing" / "x.csv"
-        code = main(run_args("--steps", "5", "--out", str(out)))
-        assert code == EXIT_CONFIG
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert err.startswith("error: ")
-        assert repr(str(out)) in err and ".tmp" not in err
-        assert not out.parent.exists()
+        # a path in a missing directory, and a path that is a directory:
+        # the error names the path, and no temporary file is left behind
+        missing = tmp_path / "missing" / "x.csv"
+        directory = tmp_path / "d" / "outdir"
+        directory.mkdir(parents=True)
+        for out in (missing, directory):
+            code = main(run_args("--steps", "5", "--out", str(out)))
+            assert code == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("error: ")
+            assert repr(str(out)) in err and ".tmp" not in err
+        assert not missing.parent.exists()
+        assert list(directory.parent.iterdir()) == [directory]
+        assert list(directory.iterdir()) == []
 
     def test_failed_write_keeps_previous_output(self, tmp_path, monkeypatch,
                                                 capsys):
@@ -1051,8 +1068,9 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "milburnsim", *argv,
          str(tmp_path / "fresh.csv")],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-        text=True, timeout=120)
+        env=dict(os.environ, PYTHONPATH=src,
+                 PYTHONWARNINGS="error::RuntimeWarning"),
+        capture_output=True, text=True, timeout=120)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert ((tmp_path / "second.csv").read_bytes()
             == (tmp_path / "fresh.csv").read_bytes())
