@@ -90,7 +90,9 @@ def poisson_window(mean):
     Floor and ceil widen the window by less than 2, so it holds fewer
     than 2 half + 3 counts.  A mean is refused, with a MemoryError, when
     that bound passes POISSON_MAX_TERMS, before any rounding: the bound
-    grows with the mean, so every mean above a refused one is refused too.
+    grows with the mean, so every mean above a refused one is refused too,
+    and a huge mean, whose half width is lost in mean +- half, cannot
+    pass as a one-count window.
     """
     half = 8.0 * math.sqrt(mean + 1.0)
     terms = 2.0 * half + 3.0
@@ -163,8 +165,12 @@ class ExponentialFactor:
         Re sum_p (w_p A_p) O_jp = [Re wA, Im wA] . [Re O; -Im O]_j (for
         |F|^2 the real w A times O), taken as a stack of products, one per
         anchor: unlike one matrix product over all anchors, its bits do not
-        depend on the BLAS thread count.  A block of anchors holds at most
-        SERIES_BLOCK anchor factors and SERIES_BLOCK rows, or one anchor."""
+        depend on the BLAS thread count.  Real weights take both parts of
+        A and O too, as Re(w A O) needs Im A Im O.  The t = 0 row takes
+        exact ones and zeros, so it is the sum of the weights' real parts.
+        A block of anchors holds at most SERIES_BLOCK anchor factors and
+        SERIES_BLOCK rows, or one anchor, so memory does not grow with the
+        grid."""
         rate, freq = self.exponent(omega, gamma)
         if squared:
             rate, freq = 2.0 * rate, None
@@ -390,8 +396,7 @@ def eigenbasis_series(amp, energies, image, atom_ops, times, factor, gamma):
     passes PHASE_TOL.  On an equispaced grid an ExponentialFactor takes
     t = t_a + j h for the rounded row time, which adds at most about one
     more 2^-52 |omega| max|t| of phase: the same quantity, so the guard
-    covers it.  Against evaluating F at each row time, the CSVs of every
-    route move by at most 2.6e-13 (at delta = 20, tmax 80).
+    covers it.
     """
     times = np.asarray(times, dtype=float)
     top_t = float(np.max(np.abs(times), initial=0.0))
@@ -419,7 +424,8 @@ def traceless_eigh(d, c):
     c = 0), so V is float64, and exp(-i arg c) for a complex one, as
     numpy's complex division by a subnormal |c| overflows.  |c| is
     hypot(Re c, Im c), as Python's abs takes it: numpy's complex abs can
-    differ from it in the last bit.  Returns (r, V), V[..., :, 0] the -r
+    differ from it in the last bit.  At d = c = 0, r is exactly 0 and V
+    the atom basis, with no division.  Returns (r, V), V[..., :, 0] the -r
     column."""
     mod = np.hypot(np.real(c), np.imag(c))
     half = np.arctan2(mod, d) / 2

@@ -43,9 +43,10 @@ def block_eigenbasis(p: SystemParams):
     [eps*, -Delta_n]] is solved in closed form by traceless_eigh, whose
     eigenvalues -Omega_n, Omega_n are rabi_blocks' hypot to the bit.  In
     the eigenbasis V_n the amplitudes are sqrt(p_n) V_n^dag ATOM_STATE,
-    p_n = displaced_photon_weights, and image(atom_op) is the blocks
-    V_n^dag atom_op V_n.  p_n ends at the last nonzero weight, so the cost
-    follows the state, not the cutoff."""
+    p_n = displaced_photon_weights (not renormalized: sigma_x(0) is their
+    sum, off 1 by the tail mass and rounding), and image(atom_op) is the
+    blocks V_n^dag atom_op V_n.  p_n ends at the last nonzero weight, so
+    the cost follows the state, not the cutoff."""
     warn_if_not_dispersive(p)
     p_n = displaced_photon_weights(p)
     detuned, _ = rabi_blocks(p, np.arange(len(p_n)))
