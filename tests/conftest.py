@@ -27,10 +27,6 @@ def fig1c():
                         alpha=2.5, dcut=64)
 
 
-def hermitize(m):
-    return 0.5 * (m + m.conj().T)
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -44,11 +44,6 @@ FIG1 = {
 }
 
 
-def displaced_hamiltonian(p):
-    h = effective_hamiltonian_displaced(p)
-    return 0.5 * (h + h.conj().T)
-
-
 class _Criterion:
     def __init__(self, name, budget_s):
         self.name = name
@@ -85,7 +80,7 @@ def test_criterion_2_poisson_vs_spectral():
     c = _Criterion("2 exact-route equivalence (Poisson vs spectral)", 30.0)
     p = SystemParams(lam=1.0, epsilon=0.5, delta=2.0, gamma=50.0,
                      alpha=2.5, dcut=32)
-    h = displaced_hamiltonian(p)
+    h = effective_hamiltonian_displaced(p)
     rho0 = initial_density(p)
     worst = 0.0
     for t in (0.5, 1.0, 2.0):
@@ -100,7 +95,7 @@ def test_criterion_3_closed_form_vs_state_evolution():
     times = np.linspace(0.0, 4.0 * np.pi, 400)
     worst = 0.0
     for label, p in FIG1.items():
-        h = displaced_hamiltonian(p)
+        h = effective_hamiltonian_displaced(p)
         prop = SpectralPropagator(h)
         state_route, = eigenbasis_series(*prop.eigenbasis(initial_state(p)),
                                          [SIGMA_X], times, milburn_factor,
@@ -114,7 +109,7 @@ def test_criterion_4_unitary_limit():
     c = _Criterion("4 unitary limit of the exact equation", 30.0)
     p = SystemParams(lam=1.0, epsilon=0.5, delta=2.0, gamma=1e10,
                      alpha=2.5, dcut=64)
-    h = displaced_hamiltonian(p)
+    h = effective_hamiltonian_displaced(p)
     rho0 = initial_density(p)
     prop = SpectralPropagator(h)
     worst = 0.0
@@ -157,7 +152,7 @@ def test_criterion_7_first_order_expansion_scaling():
     for gamma in (100.0, 200.0):
         p = SystemParams(lam=1.0, epsilon=0.5, delta=2.0, gamma=gamma,
                          alpha=1.0, dcut=16)
-        h = displaced_hamiltonian(p)
+        h = effective_hamiltonian_displaced(p)
         rho0 = initial_density(p)
         dt = 0.01 / np.linalg.norm(h, 2)
         r_exact = SpectralPropagator(h).evolve(rho0, 1.0, gamma)
@@ -187,7 +182,7 @@ def test_criterion_9_invariant_suite():
     c = _Criterion("9 invariant suite", 120.0)
     p = SystemParams(lam=1.0, epsilon=0.5, delta=2.0, gamma=1e3,
                      alpha=1.0, dcut=16)
-    h = displaced_hamiltonian(p)
+    h = effective_hamiltonian_displaced(p)
     rho0 = initial_density(p)
     failures = []
 
@@ -229,7 +224,7 @@ def test_criterion_9_invariant_suite():
 
     # populations frozen without the classical drive
     pa = FIG1["a"]
-    ha = displaced_hamiltonian(pa)
+    ha = effective_hamiltonian_displaced(pa)
     rho_a = initial_density(pa)
     prop_a = SpectralPropagator(ha)
     base = state_expectation(rho_a, SIGMA_Z)

@@ -9,6 +9,8 @@ import importlib.util
 import os
 import pathlib
 
+import pytest
+
 BENCH = pathlib.Path(__file__).parents[1] / "bench"
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -36,6 +38,13 @@ smoke = _import_smoke()
 test_end_to_end_metrics = smoke.test_end_to_end_metrics
 test_failed_check_fails_the_run = smoke.test_failed_check_fails_the_run
 test_tracer_restores_every_binding = smoke.test_tracer_restores_every_binding
+
+
+@pytest.fixture(autouse=True)
+def one_timed_import(monkeypatch):
+    """One timed fresh import per run instead of SETUP_REPS: these tests
+    check which metrics a run sets, not how widely they spread."""
+    monkeypatch.setattr(smoke.run, "SETUP_REPS", 1)
 
 KNOWN = {
     "dynamics.SpectralPropagator.decay_factors.calls",

@@ -1,4 +1,5 @@
 import errno
+import itertools
 import json
 import math
 import os
@@ -167,21 +168,6 @@ class TestRunCommand:
         vb = np.array([float(r[1]) for r in rows_b])
         assert np.max(np.abs(va - vb)) <= 1e-8
 
-    def test_complex_drive_closed_form_matches_spectral(self, tmp_path):
-        # every observable, at the default grid and cutoff
-        columns = {}
-        for method in ("closed-form", "spectral"):
-            out = tmp_path / f"{method}.csv"
-            assert main(run_args(
-                "--method", method, "--epsilon", "0.5", "--epsilon-im", "0.3",
-                "--gamma", "1000", "--observables", "sigma_x,sigma_z,purity",
-                "--out", str(out))) == EXIT_OK
-            header, rows = read_csv(out)
-            assert header == ["t", "sigma_x", "sigma_z", "purity"]
-            columns[method] = np.array(rows, dtype=float)
-        gap = np.abs(columns["closed-form"] - columns["spectral"]).max(axis=0)
-        assert np.all(gap <= 1e-11), gap
-
     @pytest.mark.parametrize("drive", [
         pytest.param([], id="real-drive"),
         pytest.param(["--epsilon-im", "0.3"], id="complex-drive")])
@@ -196,7 +182,7 @@ class TestRunCommand:
         for name, column in zip(cfg.observables, columns):
             reference = observables.closed_form_series(
                 cfg, cli.ATOM_OPERATORS[name], times)
-            assert np.max(np.abs(column - reference)) <= 1e-9, name
+            assert np.max(np.abs(column - reference)) <= 1e-11, name
 
     @pytest.mark.parametrize("method", [
         "spectral", "poisson", "lindblad", "schrodinger", "full-oracle"])
@@ -219,16 +205,20 @@ class TestRunCommand:
         assert len(columns) == 3
         assert all(np.isfinite(column).all() for column in columns)
 
-    @pytest.mark.parametrize("method, evolve, tol", [
-        ("poisson", lambda rho0, h, t, gamma:
-            dynamics.milburn_poisson_evolve(rho0, h, t, gamma), 1e-12),
-        ("schrodinger", lambda rho0, h, t, gamma:
-            dynamics.schrodinger_evolve(rho0, h, t), 1e-12),
-        ("lindblad", lambda rho0, h, t, gamma:
-            dynamics.lindblad_first_order_evolve(rho0, h, t, gamma, 1e-3),
-            1e-9),
-        ("closed-form", lambda rho0, h, t, gamma:
-            dynamics.SpectralPropagator(h).evolve(rho0, t, gamma), 1e-12),
+    @pytest.mark.parametrize("method, states, tol", [
+        ("poisson", lambda rho0, h, times, gamma: [
+            dynamics.milburn_poisson_evolve(rho0, h, t, gamma)
+            for t in times], 1e-12),
+        ("schrodinger", lambda rho0, h, times, gamma: [
+            dynamics.schrodinger_evolve(rho0, h, t) for t in times], 1e-12),
+        # RK4 carried from one grid time to the next
+        ("lindblad", lambda rho0, h, times, gamma: list(itertools.accumulate(
+            np.diff(times), lambda rho, span:
+            dynamics.lindblad_first_order_evolve(rho, h, span, gamma, 1e-3),
+            initial=rho0)), 1e-9),
+        ("closed-form", lambda rho0, h, times, gamma: [
+            dynamics.SpectralPropagator(h).evolve(rho0, t, gamma)
+            for t in times], 1e-12),
     ])
     @pytest.mark.parametrize("drive", [
         pytest.param(["--epsilon", "0.5"], id="real-drive"),
@@ -239,7 +229,7 @@ class TestRunCommand:
                      id="imaginary-drive"),
         pytest.param(["--epsilon", "-0.2", "--epsilon-im", "-0.7"],
                      id="third-quadrant-drive")])
-    def test_block_routes_match_state_level_references(self, method, evolve,
+    def test_block_routes_match_state_level_references(self, method, states,
                                                        tol, drive):
         # the block routes take the closed-form 2x2 eigenbasis, whose phase
         # c*/|c| is -1 at a negative drive and complex at an imaginary one;
@@ -252,9 +242,8 @@ class TestRunCommand:
             "--observables", "sigma_x,sigma_z,purity")))
         times, columns = cli.compute_series(cfg)
         h = hamiltonians.effective_hamiltonian_displaced(cfg)
-        rho0 = observables.initial_density(cfg)
-        for t, row in zip(times, np.transpose(columns)):
-            rho = evolve(rho0, h, t, cfg.gamma)
+        rhos = states(observables.initial_density(cfg), h, times, cfg.gamma)
+        for rho, row in zip(rhos, np.transpose(columns), strict=True):
             expected = [observables.state_expectation(
                 rho, cli.ATOM_OPERATORS[name]) for name in cfg.observables]
             np.testing.assert_allclose(row, expected, rtol=0, atol=tol)
@@ -511,20 +500,27 @@ class TestRunCommand:
                                                       drive):
         # one eigenbasis serves every observable of a run: each column of
         # a three-observable run holds the bytes of that observable's run
-        # alone (default grid, tmax 12 and 1200 steps, at cutoff 16)
+        # alone (default grid, tmax 12 and 1200 steps, at cutoff 16); only
+        # full-oracle's header names the extension mode
+        comments = []
+
         def columns(observables):
             out = tmp_path / f"{observables}.csv"
             assert main(run_args(
                 "--method", method, *drive, "--gamma", "1000", "--alpha",
                 "1", "--cutoff", "16", "--observables", observables,
                 "--out", str(out))) == EXIT_OK
-            return list(zip(*(line.split(",") for line in
-                              out.read_text().splitlines()
+            lines = out.read_text().splitlines()
+            comments.extend(line for line in lines if line.startswith("#"))
+            return list(zip(*(line.split(",") for line in lines
                               if not line.startswith("#"))))
 
         names = ["purity", "sigma_z", "sigma_x"]
         joint = columns(",".join(names))
         assert len(joint) == 4
+        assert [line for line in comments if "extension" in line] == (
+            ["# mode = extension (full interaction Hamiltonian, not the "
+             "dispersive reproduction)"] if method == "full-oracle" else [])
         for name, column in zip(names, joint[1:]):
             assert columns(name) == [joint[0], column]
 
@@ -702,32 +698,6 @@ class TestRunCommand:
         for row in rows:
             for cell in row:
                 assert np.isfinite(float(cell))
-
-    def test_observable_grid_methods_agree(self, tmp_path):
-        # schrodinger vs spectral at huge gamma on a coarse grid
-        common = ["--epsilon", "0.5", "--gamma", "1e10", "--cutoff", "32",
-                  "--tmax", "2", "--steps", "10"]
-        out_a = tmp_path / "sch.csv"
-        out_b = tmp_path / "spe.csv"
-        assert main(run_args("--method", "schrodinger", *common,
-                             "--out", str(out_a))) == EXIT_OK
-        assert main(run_args("--method", "spectral", *common,
-                             "--out", str(out_b))) == EXIT_OK
-        _, ra = read_csv(out_a)
-        _, rb = read_csv(out_b)
-        va = np.array([float(r[1]) for r in ra])
-        vb = np.array([float(r[1]) for r in rb])
-        assert np.max(np.abs(va - vb)) <= 1e-5
-
-    def test_full_oracle_labeled_as_extension(self, tmp_path):
-        out = tmp_path / "full.csv"
-        code = main(run_args("--method", "full-oracle", "--cutoff", "32",
-                             "--tmax", "1", "--steps", "5",
-                             "--out", str(out)))
-        assert code == EXIT_OK
-        text = out.read_text()
-        assert "extension" in text.splitlines()[4] or \
-            any("extension" in ln for ln in text.splitlines() if ln.startswith("#"))
 
 
 def percent_text(block):
@@ -945,18 +915,27 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "FAIL" not in out
 
-    def test_injected_fault_is_caught(self, capsys, monkeypatch):
-        original = dynamics.block_propagators
+    # each fault shifts every entry of one check's own operand, by more
+    # than its threshold and less than 1e6 times it
+    FAULTS = [
+        ("propagator-block-vs-exponential", cli, "block_propagators", 1e-7),
+        ("propagator-vs-dense-exponential", dynamics, "effective_propagator",
+         1e-4),
+        ("poisson-vs-spectral", cli, "milburn_poisson_evolve", 1e-6),
+        ("spectral-unitary-limit", cli, "schrodinger_evolve", 1e-3),
+        ("closed-form-vs-state-evolution", cli, "closed_form_series", 1e-5),
+    ]
 
-        def corrupted(t, p):
-            u = original(t, p)
-            u[:, 1, 1] = -u[:, 1, 1]  # flip u22 sign
-            return u
-
-        monkeypatch.setattr(dynamics, "block_propagators", corrupted)
+    @pytest.mark.parametrize("check, module, name, shift", FAULTS,
+                             ids=[fault[0] for fault in FAULTS])
+    def test_fault_fails_only_its_check(self, capsys, monkeypatch, check,
+                                        module, name, shift):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args: original(*args) + shift)
         assert main(["validate"]) == EXIT_VALIDATION
-        out = capsys.readouterr().out
-        assert "FAIL propagator-vs-dense-exponential" in out
+        assert [line.split()[1] for line in capsys.readouterr().out
+                .splitlines() if line.startswith("FAIL ")] == [check]
 
     def test_closed_form_check_is_independent(self, capsys, monkeypatch):
         # a fault in the shared series evaluator must not cancel out of the

@@ -44,16 +44,11 @@ from milburnsim.observables import (
 from milburnsim.params import SystemParams, derived_params
 
 
-def displaced_hamiltonian(p):
-    h = effective_hamiltonian_displaced(p)
-    return 0.5 * (h + h.conj().T)
-
-
 @pytest.fixture
 def small_system():
     p = SystemParams(lam=1.0, epsilon=0.5, delta=2.0, gamma=1e3,
                      alpha=1.0, dcut=16)
-    return p, displaced_hamiltonian(p), initial_density(p)
+    return p, effective_hamiltonian_displaced(p), initial_density(p)
 
 
 class TestRabiFrequency:
@@ -135,7 +130,7 @@ class TestEffectivePropagator:
         assert np.max(np.abs(gap)) <= 1e-9
 
     def test_matches_dense_exponential(self, fig1b):
-        h = displaced_hamiltonian(fig1b)
+        h = effective_hamiltonian_displaced(fig1b)
         u1 = effective_propagator(0.5, fig1b)
         u2 = matrix_exponential(-1j * 0.5 * h)
         idx = self._edge_free(fig1b.dcut)
@@ -164,18 +159,20 @@ class TestSchrodingerEvolve:
 
     def test_matches_block_propagator_route(self, fig1b):
         rho0 = initial_density(fig1b)
-        h = displaced_hamiltonian(fig1b)
+        h = effective_hamiltonian_displaced(fig1b)
         u = effective_propagator(0.5, fig1b)
         rho_blocks = u @ rho0 @ u.conj().T
         rho_dense = schrodinger_evolve(rho0, h, 0.5)
         assert np.max(np.abs(rho_blocks - rho_dense)) <= 1e-7
 
     def test_rejects_non_hermitian(self, small_system):
+        # a skew of 1, and one just past HERMITIAN_TOL = 1e-9
         _, h, rho0 = small_system
-        bad = h.copy()
-        bad[0, 1] += 1.0
-        with pytest.raises(ValueError):
-            schrodinger_evolve(rho0, bad, 1.0)
+        for skew in (1.0, 2e-9):
+            bad = h.copy()
+            bad[0, 1] += skew
+            with pytest.raises(ValueError):
+                schrodinger_evolve(rho0, bad, 1.0)
 
 
 class TestMilburnPoisson:
@@ -188,13 +185,6 @@ class TestMilburnPoisson:
         _, h, rho0 = small_system
         out = milburn_poisson_evolve(rho0, h, 1.0, 50.0)
         assert abs(np.trace(out).real - 1.0) <= 1e-10
-
-    def test_matches_spectral_route(self, small_system):
-        _, h, rho0 = small_system
-        for t in (0.5, 1.0, 2.0):
-            ra = milburn_poisson_evolve(rho0, h, t, 50.0)
-            rb = SpectralPropagator(h).evolve(rho0, t, 50.0)
-            assert np.max(np.abs(ra - rb)) <= 1e-9
 
     def test_window_budget_error(self, small_system):
         _, h, rho0 = small_system
@@ -263,7 +253,7 @@ class TestMilburnSpectral:
     def test_unitary_limit(self):
         p = SystemParams(lam=1.0, epsilon=0.5, delta=2.0, gamma=1e10,
                          alpha=2.5, dcut=32)
-        h = displaced_hamiltonian(p)
+        h = effective_hamiltonian_displaced(p)
         rho0 = initial_density(p)
         r1 = SpectralPropagator(h).evolve(rho0, 2.0, 1e10)
         r2 = schrodinger_evolve(rho0, h, 2.0)
@@ -273,7 +263,7 @@ class TestMilburnSpectral:
         # without the drive the spectrum has exact cross-block degeneracies
         p = SystemParams(lam=1.0, epsilon=0.0, delta=2.0, gamma=30.0,
                          alpha=1.0, dcut=16)
-        h = displaced_hamiltonian(p)
+        h = effective_hamiltonian_displaced(p)
         rho0 = initial_density(p)
         prop = SpectralPropagator(h)
         energies, vectors = prop.energies, prop.vectors.copy()
@@ -306,7 +296,7 @@ class TestMilburnSpectral:
     def test_inversion_frozen_without_drive(self):
         p = SystemParams(lam=1.0, epsilon=0.0, delta=2.0, gamma=1e6,
                          alpha=2.5, dcut=32)
-        h = displaced_hamiltonian(p)
+        h = effective_hamiltonian_displaced(p)
         rho0 = initial_density(p)
         prop = SpectralPropagator(h)
         base = state_expectation(rho0, SIGMA_Z)
@@ -569,7 +559,7 @@ class TestSeriesKernel:
     def system(self):
         p = SystemParams(lam=1.0, epsilon=0.5, delta=2.0, gamma=40.0,
                          alpha=1.0, dcut=16)
-        return p, displaced_hamiltonian(p), initial_density(p)
+        return p, effective_hamiltonian_displaced(p), initial_density(p)
 
     @pytest.mark.parametrize("route", sorted(KERNEL_ROUTES))
     def test_factor_matches_state_route(self, system, route):
@@ -701,18 +691,18 @@ def stable_sort_prune(weights):
 def tied_weights(draw):
     """Up to 200 weights drawn from a few moduli around DROP_BUDGET, zero
     included, so that ties fall at the cut; complex ones take the phases
-    +-1 and +-i, which keep each modulus exact, and some arrays are 2-D."""
+    +-1 and +-i, which keep each modulus exact, and some arrays are 2-D.
+    The weights come from a drawn seed, as drawing each of them costs
+    more than the test."""
     levels = draw(st.lists(st.sampled_from(
         [0.0, DROP_BUDGET / 16, DROP_BUDGET / 7, DROP_BUDGET / 4,
          DROP_BUDGET / 3, DROP_BUDGET / 2, DROP_BUDGET, 3 * DROP_BUDGET]),
         min_size=1, max_size=4, unique=True))
     n = draw(st.integers(0, 200))
-    modulus = np.array(draw(st.lists(st.sampled_from(levels),
-                                     min_size=n, max_size=n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    modulus = rng.choice(levels, n)
     if draw(st.booleans()):
-        phases = draw(st.lists(st.sampled_from([1, -1, 1j, -1j]),
-                               min_size=n, max_size=n))
-        modulus = modulus * np.array(phases, dtype=complex)
+        modulus = modulus * rng.choice([1, -1, 1j, -1j], n)
     if n % 2 == 0 and draw(st.booleans()):
         modulus = modulus.reshape(2, -1)
     return modulus

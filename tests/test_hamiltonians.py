@@ -191,7 +191,7 @@ class TestDisplacedForm:
 
     def test_displacement_preserves_spectrum(self, fig1b):
         hd = effective_hamiltonian_displaced(fig1b)
-        ed = np.sort(np.linalg.eigvalsh(0.5 * (hd + hd.conj().T)))
+        ed = np.sort(np.linalg.eigvalsh(hd))
         ec = np.sort(np.linalg.eigvalsh(core_operator(fig1b)))
         assert np.max(np.abs(ed[:40] - ec[:40])) <= 1e-8
 

@@ -27,9 +27,7 @@ from milburnsim.params import (
 
 
 def spectral_sigma_x_series(p, times):
-    h = effective_hamiltonian_displaced(p)
-    h = 0.5 * (h + h.conj().T)
-    prop = SpectralPropagator(h)
+    prop = SpectralPropagator(effective_hamiltonian_displaced(p))
     return eigenbasis_series(*prop.eigenbasis(initial_state(p)), [SIGMA_X],
                              times, milburn_factor, p.gamma)[0]
 
@@ -180,10 +178,8 @@ class TestStateObservables:
         assert abs(state_expectation(rho, None) - 0.5) <= 1e-12
 
     def test_purity_bounded_after_decoherence(self, fig1b):
-        h = effective_hamiltonian_displaced(fig1b)
-        h = 0.5 * (h + h.conj().T)
-        rho = SpectralPropagator(h).evolve(initial_density(fig1b), 2.0,
-                                           fig1b.gamma)
+        prop = SpectralPropagator(effective_hamiltonian_displaced(fig1b))
+        rho = prop.evolve(initial_density(fig1b), 2.0, fig1b.gamma)
         val = state_expectation(rho, None)
         assert 0.0 < val <= 1.0 + 1e-12
 
