@@ -270,6 +270,8 @@ class KickCountFactor:
         # every window is checked before any array is allocated
         windows = np.array([poisson_window(x) for x in means],
                            dtype=np.int64).reshape(-1, 2)
+        if not len(omega):  # no kept pairs: every row's sum is 0
+            return np.zeros(len(times))
         width = int(np.max(np.diff(windows), initial=0)) + 1
         rows, theta = max(1, SERIES_BLOCK // (2 * width)), omega / gamma
 

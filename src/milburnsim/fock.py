@@ -131,14 +131,14 @@ def coherent_state(alpha, dcut):
 
 def log_factorial(m):
     """ln m! for integer array-like m >= 0: math.lgamma values for
-    m < 64, above that the Stirling series in x = m + 1 through its 1/x^7
+    m < 64, above that the Stirling series in x = m + 1 through its 1/x^5
     term.  Within 3 ulp of ln m!, as is math.lgamma, up to m = 3.91e7,
     the largest kick count that a Poisson window may hold."""
     m = np.asarray(m)
     small = m < len(_LOG_FACTORIAL_TABLE)
     x = np.where(small, len(_LOG_FACTORIAL_TABLE), m + 1.0)
     r = 1.0 / (x * x)
-    series = (1 / 12 - r * (1 / 360 - r * (1 / 1260 - r / 1680))) / x
+    series = (1 / 12 - r * (1 / 360 - r / 1260)) / x
     stirling = (x - 0.5) * np.log(x) - x + _HALF_LOG_2PI + series
     table = _LOG_FACTORIAL_TABLE[np.minimum(m, len(_LOG_FACTORIAL_TABLE) - 1)]
     return np.where(small, table, stirling)

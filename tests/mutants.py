@@ -125,13 +125,15 @@ MUTANTS = [
     ("prune-tie-order", DYN, "drop[ties[:n_drop",
      "drop[ties[::-1][:n_drop",
      "ties at the prune's cut drop the highest indices first"),
-    ("stirling-terms", FOCK, "r * (1 / 1260 - r / 1680)", "r * 0.0",
-     "ln m! without the Stirling series' 1/x^5 and 1/x^7 terms"),
+    ("stirling-terms", FOCK, "r * (1 / 360 - r / 1260)", "r * (1 / 360)",
+     "ln m! without the Stirling series' 1/x^5 term"),
     ("csv-tie-rounding", CLI,
      "n.flat[tie] += np.where(half * e > 0, 2 * half, 0.0)",
      "n.flat[tie] += 0.0", "CSV ties rounded without the product's low part"),
     ("atomic-write-leftover", CLI, "os.unlink(tmp)", "pass",
      "a failed write leaves its temporary file"),
+    ("kick-sum-no-pairs-shortcut-off", DYN, "if not len(omega):",
+     "if False:", "the kick sum weighs every window with no pair kept"),
     ("poisson-evolve-unnormalized", DYN, "weights /= weights.sum()",
      "weights /= 1.0", "the kick-sum reference route not renormalized"),
     ("array-size-guard-off", CLI, "if size > np.iinfo(np.intp).max:",
@@ -181,7 +183,7 @@ def main(names):
         start = time.perf_counter()
         killer = run_mutant(name, file, old, new)
         survived += killer is None
-        print(f"{name:28} {killer or 'SURVIVED'}  "
+        print(f"{name:30} {killer or 'SURVIVED'}  "
               f"({time.perf_counter() - start:.0f} s; {why})", flush=True)
     return 1 if survived else 0
 

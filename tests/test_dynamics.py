@@ -971,16 +971,18 @@ class TestFoldedSeries:
     @pytest.mark.parametrize("squared", [False, True])
     def test_kick_count_series_refuses_descending_times(self, squared):
         # the carried runs need windows that only move up: a repeated time
-        # is taken, a descending pair refused
+        # is taken, a descending pair refused, with no kept pair too
         rng = np.random.default_rng(3)
-        weights = rng.uniform(-1, 1, 12) / 24
-        omega = rng.uniform(-10.0, 10.0, 12)
         times = np.array([0.0, 0.5, 0.5, 1.0])
-        values = kick_count_factor.series(weights, omega, times, 1e3, squared)
-        assert values[1] == values[2]
-        with pytest.raises(ValueError, match="ascending order"):
-            kick_count_factor.series(weights, omega, times[::-1], 1e3,
-                                     squared)
+        for pairs in (12, 0):
+            weights = rng.uniform(-1, 1, pairs) / 24
+            omega = rng.uniform(-10.0, 10.0, pairs)
+            values = kick_count_factor.series(weights, omega, times, 1e3,
+                                              squared)
+            assert values[1] == values[2]
+            with pytest.raises(ValueError, match="ascending order"):
+                kick_count_factor.series(weights, omega, times[::-1], 1e3,
+                                         squared)
 
 
 class TestAnchorOffsetSeries:
@@ -1075,7 +1077,13 @@ class TestAnchorOffsetSeries:
     @pytest.mark.parametrize("factor", EXPONENTIAL_FACTORS
                              + (kick_count_factor,))
     @pytest.mark.parametrize("squared", [False, True])
-    def test_no_kept_pairs_gives_the_constant(self, factor, squared):
+    def test_no_kept_pairs_gives_the_constant(self, monkeypatch, factor,
+                                              squared):
+        # the kick sum returns before it weighs any window
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a Poisson window was weighed")
+
+        monkeypatch.setattr(dynamics, "poisson_pmf", unreachable)
         times = np.linspace(0.0, 48.0, 24000)
         series = factor.series(np.zeros(0, dtype=complex), np.zeros(0),
                                times, 40.0, squared) + 0.25

@@ -98,11 +98,6 @@ class TestInteractionHamiltonian:
         expected = np.sort([-1.0] * 6 + [1.0] * 6)
         np.testing.assert_allclose(evals, expected, atol=1e-11)
 
-    def test_hermiticity(self):
-        p = SystemParams(lam=1.0, epsilon=0.5, delta=2.0, gamma=1.0, dcut=8)
-        h = interaction_hamiltonian(p)
-        assert np.max(np.abs(h - h.conj().T)) == 0.0
-
     def test_single_excitation_coupling(self):
         p = SystemParams(lam=1.7, epsilon=0.0, delta=2.0, gamma=1.0, dcut=8)
         h = interaction_hamiltonian(p)
@@ -135,11 +130,6 @@ class TestEffectiveHamiltonian:
         h = effective_hamiltonian(p)
         assert h[0, 0] == pytest.approx(2.0)   # |e,0>
         assert h[4, 4] == pytest.approx(-2.0)  # |g,0>
-
-    def test_hermiticity(self):
-        p = SystemParams(lam=1.0, epsilon=0.5, delta=2.0, gamma=1e3, dcut=16)
-        h = effective_hamiltonian(p)
-        assert np.max(np.abs(h - h.conj().T)) <= 1e-12
 
 
 def core_operator(p):
@@ -226,10 +216,21 @@ class TestDisplacedForm:
                            match="alpha = -2.5, beta = 5"):
             displaced_blocks(p, block_propagators(0.7, p))
 
-    def test_hermiticity(self, fig1b):
-        # exactly: callers use it without taking the Hermitian part
-        h = effective_hamiltonian_displaced(fig1b)
-        assert np.max(np.abs(h - h.conj().T)) == 0.0
+
+# the interaction and the displaced Hamiltonian exactly: callers use them
+# without taking the Hermitian part
+@pytest.mark.parametrize("build, p, bound", [
+    (interaction_hamiltonian,
+     SystemParams(lam=1.0, epsilon=0.5, delta=2.0, gamma=1.0, dcut=8), 0.0),
+    (effective_hamiltonian,
+     SystemParams(lam=1.0, epsilon=0.5, delta=2.0, gamma=1e3, dcut=16), 1e-12),
+    (effective_hamiltonian_displaced,
+     SystemParams(lam=1.0, epsilon=0.5, delta=2.0, gamma=1e3, alpha=2.5,
+                  dcut=64), 0.0)],
+    ids=["interaction", "effective", "displaced"])
+def test_hermiticity(build, p, bound):
+    h = build(p)
+    assert np.max(np.abs(h - h.conj().T)) <= bound
 
 
 class TestExactRewriting:
